@@ -421,7 +421,19 @@
 // competitive under the mean, not the union of per-member candidates.
 //
 // The full MatchInto/MatchAll vector is inherently Ω(N) — it returns N
-// scores — so the engines expose the sublinear path as
+// scores — but over the index it is a postings scatter rather than a
+// sweep of every reference row: per class, only the postings of the
+// candidate's own non-zero bins are walked, each adding its term into a
+// per-reference accumulator kept in the MatchScratch, and each touched
+// reference's sum is then weighted and normalised exactly as the dense
+// kernel does. It is bit-identical because every reference still sums
+// the same non-zero terms in the same ascending-bin order; the terms
+// the scatter never visits are exact +0 adds in the dense loop (bins
+// the candidate lacks), which cannot change a sum of non-negative
+// terms. L1, whose disjoint terms are not zero, keeps a per-reference
+// union merge. The batch forms (MatchAllScratch, MatchAllWorkers) write
+// every member and fused row straight into the backing they return.
+// For the sublinear path, the engines expose
 // EngineOptions.TopK / ShardedOptions.TopK: verdict events then carry
 // the ranked k best scores instead of the full vector, with verdicts,
 // Best and window summaries unchanged (TestEngineTopKVerdictsIdentical

@@ -56,6 +56,7 @@ type MatchScratch struct {
 	freqs  []float64
 	scores []Score
 	l1nz   []int32      // candidate support scratch for the indexed L1 kernel
+	acc    []float64    // per-reference partial sums of the indexed full vector
 	search *searchState // pruned-search buffers, allocated on first TopK/Best/Above
 }
 
@@ -182,14 +183,22 @@ func (c *CompiledDB) MatchInto(candidate *Signature, scratch *MatchScratch) []Sc
 	if cap(scratch.scores) < n {
 		scratch.scores = make([]Score, n)
 	}
-	if c.idx != nil {
-		return c.matchIndexed(candidate, scratch)
-	}
-	scores := scratch.scores[:n]
+	return c.matchRow(candidate, scratch, scratch.scores[:n])
+}
+
+// matchRow writes the similarity vector into scores (length Len()) and
+// returns it, using scratch only for the kernels' working buffers — the
+// batch entry points pass rows of the backing they hand off, so no
+// vector is computed in scratch and then copied.
+func (c *CompiledDB) matchRow(candidate *Signature, scratch *MatchScratch, scores []Score) []Score {
 	for r, addr := range c.addrs {
 		scores[r] = Score{Addr: addr}
 	}
 	if candidate == nil {
+		return scores
+	}
+	if c.idx != nil {
+		c.matchIndexed(candidate, scratch, scores)
 		return scores
 	}
 	// Ascending class order mirrors Signature.Classes(), so every
@@ -431,17 +440,9 @@ func (c *CompiledDB) MatchAll(cands []Candidate) [][]Score {
 // GOMAXPROCS, 1 forces the serial path). Results are identical for
 // every worker count.
 func (c *CompiledDB) MatchAllWorkers(cands []Candidate, workers int) [][]Score {
-	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*len(c.addrs))
-	ForEachIndex(len(cands), workers, func(scratch *MatchScratch, i int) {
-		row := backing[i*len(c.addrs) : (i+1)*len(c.addrs) : (i+1)*len(c.addrs)]
-		copy(row, c.MatchInto(cands[i].Sig, scratch))
-		out[i] = row
+	return c.matchAll(cands, func(row func(*MatchScratch, int)) {
+		ForEachIndex(len(cands), workers, row)
 	})
-	return out
 }
 
 // MatchAllScratch is the serial, caller-scratch form of MatchAll, built
@@ -450,17 +451,26 @@ func (c *CompiledDB) MatchAllWorkers(cands []Candidate, workers int) [][]Score {
 // backing allocation per call) are handed off to the caller and never
 // aliased again. Row i is exactly Match(cands[i].Sig).
 func (c *CompiledDB) MatchAllScratch(cands []Candidate, scratch *MatchScratch) [][]Score {
+	return c.matchAll(cands, func(row func(*MatchScratch, int)) {
+		for i := range cands {
+			row(scratch, i)
+		}
+	})
+}
+
+// matchAll allocates the batch's rows in one backing; each must call
+// row(scratch, i) exactly once per candidate index, and row writes its
+// similarity vector straight into that backing.
+func (c *CompiledDB) matchAll(cands []Candidate, each func(row func(*MatchScratch, int))) [][]Score {
 	out := make([][]Score, len(cands))
 	if len(cands) == 0 {
 		return out
 	}
 	n := len(c.addrs)
 	backing := make([]Score, len(cands)*n)
-	for i := range cands {
-		row := backing[i*n : (i+1)*n : (i+1)*n]
-		copy(row, c.MatchInto(cands[i].Sig, scratch))
-		out[i] = row
-	}
+	each(func(scratch *MatchScratch, i int) {
+		out[i] = c.matchRow(cands[i].Sig, scratch, backing[i*n:(i+1)*n:(i+1)*n])
+	})
 	return out
 }
 

@@ -231,20 +231,75 @@ func TestAddRejectsBinShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestMatchIntoZeroAlloc backs MatchInto's //fp:hotpath annotation on
+// both kernels: the dense path, and the indexed full vector for every
+// measure — alone and as the members of a fused ensemble — whose
+// accumulator must be warmed scratch, not a per-call allocation.
 func TestMatchIntoZeroAlloc(t *testing.T) {
-	db, cands := trainedDB(t, MeasureCosine)
-	cdb := db.Compile()
-	var scratch MatchScratch
-	cdb.MatchInto(cands[0].Sig, &scratch) // warm the buffers
-	allocs := testing.AllocsPerRun(200, func() {
-		for _, c := range cands {
-			if got := cdb.MatchInto(c.Sig, &scratch); len(got) != cdb.Len() {
-				t.Fatal("bad match vector")
-			}
+	zeroAllocs := func(t *testing.T, label string, f func()) {
+		t.Helper()
+		f() // warm the buffers
+		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
+			t.Fatalf("%s allocated %v times per run, want 0", label, allocs)
 		}
+	}
+	t.Run("dense", func(t *testing.T) {
+		db, cands := trainedDB(t, MeasureCosine)
+		cdb := db.Compile()
+		var scratch MatchScratch
+		zeroAllocs(t, "MatchInto", func() {
+			for _, c := range cands {
+				if got := cdb.MatchInto(c.Sig, &scratch); len(got) != cdb.Len() {
+					t.Fatal("bad match vector")
+				}
+			}
+		})
 	})
-	if allocs != 0 {
-		t.Fatalf("MatchInto allocated %v times per run, want 0", allocs)
+	for _, measure := range allMeasures {
+		t.Run("indexed/"+measure.String(), func(t *testing.T) {
+			db, cands := trainedDB(t, measure)
+			db.SetIndexing(IndexOn)
+			cdb := db.Compile()
+			if !cdb.IndexStats().Enabled {
+				t.Fatal("IndexOn compiled without an index")
+			}
+			var scratch MatchScratch
+			zeroAllocs(t, "MatchInto", func() {
+				cdb.MatchInto(nil, &scratch)
+				for _, c := range cands {
+					if got := cdb.MatchInto(c.Sig, &scratch); len(got) != cdb.Len() {
+						t.Fatal("bad match vector")
+					}
+				}
+			})
+		})
+		t.Run("ensemble-indexed/"+measure.String(), func(t *testing.T) {
+			tr := compiledFixtureTrace(8, 6_000)
+			e, err := NewEnsemble(measure, Config{Param: ParamInterArrival}, Config{Param: ParamSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetIndexing(IndexOn)
+			if err := e.Train(tr); err != nil {
+				t.Fatal(err)
+			}
+			ce := e.Compile()
+			if !ce.IndexStats().Enabled || ce.Len() == 0 {
+				t.Fatalf("indexed ensemble: stats %+v, %d refs", ce.IndexStats(), ce.Len())
+			}
+			cands := e.CandidatesIn(tr, 500*time.Millisecond)
+			if len(cands) == 0 {
+				t.Fatal("no candidates")
+			}
+			var scratch EnsembleScratch
+			zeroAllocs(t, "CompiledEnsemble.MatchInto", func() {
+				for _, c := range cands {
+					if fused, _ := ce.MatchInto(c, &scratch); len(fused) != ce.Len() {
+						t.Fatal("bad fused vector")
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -204,18 +204,33 @@ func (ce *CompiledEnsemble) MatchInto(c MultiCandidate, s *EnsembleScratch) (fus
 	}
 	s.grow(ce)
 	for m, cdb := range ce.members {
-		s.rows[m] = cdb.MatchInto(c.Sigs[m], &s.member[m])
+		ms := &s.member[m]
+		if cap(ms.scores) < cdb.Len() {
+			ms.scores = make([]Score, cdb.Len())
+		}
+		s.rows[m] = ms.scores[:cdb.Len()]
 	}
 	fused = s.fused[:len(ce.addrs)]
+	ce.matchRows(c, s, fused, s.rows)
+	return fused, s.rows
+}
+
+// matchRows writes member m's similarity vector into rows[m] (length
+// members[m].Len()) and the fused vector into fused (length Len()),
+// using s only for the kernels' working buffers. c must carry one
+// signature per member.
+func (ce *CompiledEnsemble) matchRows(c MultiCandidate, s *EnsembleScratch, fused []Score, rows [][]Score) {
+	for m, cdb := range ce.members {
+		cdb.matchRow(c.Sigs[m], &s.member[m], rows[m])
+	}
 	div := float64(len(ce.members))
 	for i, addr := range ce.addrs {
 		sum := 0.0
 		for m := range ce.members {
-			sum += s.rows[m][ce.rowIdx[m][i]].Sim
+			sum += rows[m][ce.rowIdx[m][i]].Sim
 		}
 		fused[i] = Score{Addr: addr, Sim: sum / div}
 	}
-	return fused, s.rows
 }
 
 // getScratch pops a pooled scratch for the scratchless conveniences.
@@ -269,35 +284,12 @@ func (ce *CompiledEnsemble) MatchAll(cands []MultiCandidate) (fused [][]Score, p
 // fused (and perParam[i][m] per member) is exactly Match(cands[i]) —
 // every row is computed independently and written at its own index, so
 // worker scheduling cannot affect the output. Rows share per-call
-// backing allocations and are handed off to the caller, never reused.
+// backing allocations and are handed off to the caller, never reused. A
+// mismatched candidate yields nil rows.
 func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int) (fused [][]Score, perParam [][][]Score) {
-	fused = make([][]Score, len(cands))
-	perParam = make([][][]Score, len(cands))
-	if len(cands) == 0 {
-		return fused, perParam
-	}
-	n := len(ce.addrs)
-	fusedBacking := make([]Score, len(cands)*n)
-	memberBacking := make([][]Score, len(ce.members))
-	rowBacking := make([][]Score, len(cands)*len(ce.members))
-	for m, cdb := range ce.members {
-		memberBacking[m] = make([]Score, len(cands)*cdb.Len())
-	}
-	forEachEnsembleIndex(len(cands), workers, func(s *EnsembleScratch, i int) {
-		f, rows := ce.MatchInto(cands[i], s)
-		frow := fusedBacking[i*n : (i+1)*n : (i+1)*n]
-		copy(frow, f)
-		fused[i] = frow
-		prows := rowBacking[i*len(ce.members) : (i+1)*len(ce.members) : (i+1)*len(ce.members)]
-		for m, cdb := range ce.members {
-			k := cdb.Len()
-			mrow := memberBacking[m][i*k : (i+1)*k : (i+1)*k]
-			copy(mrow, rows[m])
-			prows[m] = mrow
-		}
-		perParam[i] = prows
+	return ce.matchAll(cands, func(row func(*EnsembleScratch, int)) {
+		forEachEnsembleIndex(len(cands), workers, row)
 	})
-	return fused, perParam
 }
 
 // MatchAllScratch is the serial, caller-scratch form of MatchAll, built
@@ -305,32 +297,43 @@ func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int)
 // buffers across every window, while the returned rows (per-call
 // backing) are handed off to the caller and never aliased again.
 func (ce *CompiledEnsemble) MatchAllScratch(cands []MultiCandidate, s *EnsembleScratch) (fused [][]Score, perParam [][][]Score) {
+	return ce.matchAll(cands, func(row func(*EnsembleScratch, int)) {
+		for i := range cands {
+			row(s, i)
+		}
+	})
+}
+
+// matchAll allocates the batch's fused and member rows in per-call
+// backings; each must call row(s, i) exactly once per candidate index,
+// and row writes every vector straight into those backings.
+func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, each func(row func(*EnsembleScratch, int))) (fused [][]Score, perParam [][][]Score) {
 	fused = make([][]Score, len(cands))
 	perParam = make([][][]Score, len(cands))
 	if len(cands) == 0 {
 		return fused, perParam
 	}
-	n := len(ce.addrs)
+	n, nm := len(ce.addrs), len(ce.members)
 	fusedBacking := make([]Score, len(cands)*n)
-	memberBacking := make([][]Score, len(ce.members))
-	rowBacking := make([][]Score, len(cands)*len(ce.members))
+	memberBacking := make([][]Score, nm)
+	rowBacking := make([][]Score, len(cands)*nm)
 	for m, cdb := range ce.members {
 		memberBacking[m] = make([]Score, len(cands)*cdb.Len())
 	}
-	for i := range cands {
-		f, rows := ce.MatchInto(cands[i], s)
-		frow := fusedBacking[i*n : (i+1)*n : (i+1)*n]
-		copy(frow, f)
-		fused[i] = frow
-		prows := rowBacking[i*len(ce.members) : (i+1)*len(ce.members) : (i+1)*len(ce.members)]
+	each(func(s *EnsembleScratch, i int) {
+		if len(cands[i].Sigs) != nm {
+			return
+		}
+		s.grow(ce)
+		rows := rowBacking[i*nm : (i+1)*nm : (i+1)*nm]
 		for m, cdb := range ce.members {
 			k := cdb.Len()
-			mrow := memberBacking[m][i*k : (i+1)*k : (i+1)*k]
-			copy(mrow, rows[m])
-			prows[m] = mrow
+			rows[m] = memberBacking[m][i*k : (i+1)*k : (i+1)*k]
 		}
-		perParam[i] = prows
-	}
+		fused[i] = fusedBacking[i*n : (i+1)*n : (i+1)*n]
+		ce.matchRows(cands[i], s, fused[i], rows)
+		perParam[i] = rows
+	})
 	return fused, perParam
 }
 

@@ -110,6 +110,10 @@ func TestEnsembleMismatchedCandidate(t *testing.T) {
 	if got := e.Match(MultiCandidate{Sigs: []*Signature{nil}}); got != nil {
 		t.Fatalf("mismatched candidate match = %v", got)
 	}
+	fused, perParam := e.Compile().MatchAllWorkers([]MultiCandidate{{Sigs: []*Signature{nil}}}, 1)
+	if fused[0] != nil || perParam[0] != nil {
+		t.Fatalf("mismatched candidate batch rows = %v, %v; want nil", fused[0], perParam[0])
+	}
 }
 
 // partialTrace builds a trace where device 2 transmits only the very

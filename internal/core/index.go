@@ -39,6 +39,22 @@ import (
 //     exactly zero (frequency sums round), so its shortlist is the
 //     class-overlap set and its kernel merges the union of both
 //     supports — same guarantee, weaker pruning.
+//
+// The full similarity vector (MatchInto over an indexed snapshot) can
+// prune nothing, since it returns every score, but it reads the
+// inverted index too: a postings scatter. Per class it walks only the
+// candidate's non-zero bins; for each, it walks the bin's postings and
+// adds the term (product, min or √ of the candidate value and the
+// posting's stored row value, postVal) into a per-reference
+// accumulator in the MatchScratch. The work is the candidate's shared
+// support, not every reference's CSR row. It stays bit-identical: a
+// reference receives exactly its non-zero terms, in ascending bin
+// order, and every term the scatter never visits is an exact +0 in the
+// dense loop (a bin the candidate lacks), which cannot change a sum of
+// non-negative terms. The candidate values are the dense path's own
+// (float64 counts for cosine, float64(count)/total otherwise, as in
+// AppendFreqs), and each reference's sum is folded into its score by
+// the same weighting and normalisation. L1 keeps its union merge.
 
 // IndexMode controls whether Compile builds the match index.
 type IndexMode uint8
@@ -135,9 +151,11 @@ type classIndex struct {
 	rowStart []int32 // len n+1
 	rowBin   []int32
 	rowVal   []float64
-	// Inverted index: references (ascending) per fine bin.
+	// Inverted index: references (ascending) per fine bin, with each
+	// posting's row value alongside for the full-vector scatter.
 	postStart []int32 // len bins+1
 	postRef   []int32
+	postVal   []float64
 	// Per-bin maximum contribution factor (MaxScore); nil for L1.
 	binBound []float64
 	// Per-reference coarse row, coarseGroups cells each: partial
@@ -159,7 +177,6 @@ func buildIndex(db *Database, c *CompiledDB) *matchIndex {
 		bins:      c.bins,
 		groupSize: (c.bins + coarseGroups - 1) / coarseGroups,
 	}
-	row := make([]float64, c.bins) // scratch frequency row
 	for ci := range c.classes {
 		cc := &c.classes[ci]
 		if !cc.present {
@@ -184,22 +201,21 @@ func buildIndex(db *Database, c *CompiledDB) *matchIndex {
 				cx.wMax = w
 			}
 			h := db.refs[addr].Hist(dot11.Class(ci))
-			vals := row[:0]
-			if cosine {
-				for _, v := range h.CountsView() {
-					vals = append(vals, float64(v))
-				}
-			} else {
-				vals = h.AppendFreqs(row[:0])
-			}
+			total := float64(h.Total())
 			co := cx.coarse[r*coarseGroups : (r+1)*coarseGroups]
 			var norm float64
 			if cosine {
 				norm = cc.norms[r]
 			}
-			for j, v := range vals {
-				if v == 0 {
+			for j, cnt := range h.CountsView() {
+				if cnt == 0 {
 					continue
+				}
+				// The dense row's value: the float64 count for cosine,
+				// float64(count)/total (as AppendFreqs computes it) otherwise.
+				v := float64(cnt)
+				if !cosine {
+					v /= total
 				}
 				cx.rowBin = append(cx.rowBin, int32(j))
 				cx.rowVal = append(cx.rowVal, v)
@@ -244,12 +260,14 @@ func buildIndex(db *Database, c *CompiledDB) *matchIndex {
 		}
 		cx.postStart[c.bins] = total
 		cx.postRef = make([]int32, total)
+		cx.postVal = make([]float64, total)
 		fill := make([]int32, c.bins)
 		copy(fill, cx.postStart[:c.bins])
 		for r := 0; r < n; r++ {
 			for i := cx.rowStart[r]; i < cx.rowStart[r+1]; i++ {
 				j := cx.rowBin[i]
 				cx.postRef[fill[j]] = int32(r)
+				cx.postVal[fill[j]] = cx.rowVal[i]
 				fill[j]++
 			}
 		}
@@ -257,7 +275,7 @@ func buildIndex(db *Database, c *CompiledDB) *matchIndex {
 		ix.stats.Entries += int64(len(cx.rowBin))
 		ix.stats.Postings += int64(len(cx.postRef))
 		ix.stats.IndexBytes += int64(len(cx.rowStart)+len(cx.rowBin)+len(cx.postStart)+len(cx.postRef)+len(cx.classRefs))*4 +
-			int64(len(cx.rowVal)+len(cx.coarse)+len(cx.binBound))*8
+			int64(len(cx.rowVal)+len(cx.postVal)+len(cx.coarse)+len(cx.binBound))*8
 		ix.stats.DenseBytes += int64(n) * int64(c.bins) * 8
 	}
 	ix.stats.Enabled = true
@@ -736,22 +754,15 @@ func (c *CompiledDB) aboveIndexed(candidate *Signature, threshold float64, st *s
 	return out
 }
 
-// matchIndexed is the index-backed full similarity vector: the same
-// class-outer accumulation as the dense MatchInto, with the inner loop
-// streaming each class's CSR block — a blocked sparse kernel over
-// contiguous rows instead of N dense dot products.
-func (c *CompiledDB) matchIndexed(candidate *Signature, scratch *MatchScratch) []Score {
+// matchIndexed writes the full similarity vector into scores, which
+// arrive holding each reference's address and a zero score, by the
+// postings scatter described at the top of this file.
+func (c *CompiledDB) matchIndexed(candidate *Signature, scratch *MatchScratch, scores []Score) {
 	n := len(c.addrs)
-	if cap(scratch.scores) < n {
-		scratch.scores = make([]Score, n)
+	if cap(scratch.acc) < n {
+		scratch.acc = make([]float64, n)
 	}
-	scores := scratch.scores[:n]
-	for r, addr := range c.addrs {
-		scores[r] = Score{Addr: addr}
-	}
-	if candidate == nil {
-		return scores
-	}
+	acc := scratch.acc[:n]
 	for ci := range c.classes {
 		cc := &c.classes[ci]
 		if !cc.present {
@@ -762,70 +773,76 @@ func (c *CompiledDB) matchIndexed(candidate *Signature, scratch *MatchScratch) [
 			continue
 		}
 		cx := &c.idx.classes[ci]
-		switch c.measure {
-		case MeasureIntersection, MeasureBhattacharyya, MeasureL1:
+		counts := ch.CountsView()
+		if c.measure == MeasureL1 {
 			cf := ch.AppendFreqs(scratch.freqs[:0])
 			scratch.freqs = cf
-			switch c.measure {
-			case MeasureIntersection:
-				for r := 0; r < n; r++ {
-					start, end := cx.rowStart[r], cx.rowStart[r+1]
-					if start == end {
-						continue
-					}
-					s := 0.0
-					for i := start; i < end; i++ {
-						s += math.Min(cf[cx.rowBin[i]], cx.rowVal[i])
-					}
-					scores[r].Sim += cc.weights[r] * s
-				}
-			case MeasureBhattacharyya:
-				for r := 0; r < n; r++ {
-					start, end := cx.rowStart[r], cx.rowStart[r+1]
-					if start == end {
-						continue
-					}
-					s := 0.0
-					for i := start; i < end; i++ {
-						s += math.Sqrt(cf[cx.rowBin[i]] * cx.rowVal[i])
-					}
-					scores[r].Sim += cc.weights[r] * s
-				}
-			default: // L1 needs the union support and scores class overlap exactly
-				nz := scratch.l1nz[:0]
-				for j, v := range cf {
-					if v != 0 {
-						nz = append(nz, int32(j))
-					}
-				}
-				scratch.l1nz = nz
-				for _, r := range cx.classRefs {
-					start, end := cx.rowStart[r], cx.rowStart[r+1]
-					scores[r].Sim += cc.weights[r] * l1Sparse(cf, nz, cx.rowBin[start:end], cx.rowVal[start:end])
+			nz := scratch.l1nz[:0]
+			for j, v := range counts {
+				if v != 0 {
+					nz = append(nz, int32(j))
 				}
 			}
-		default: // cosine, count domain
-			cf := scratch.freqs[:0]
-			for _, v := range ch.CountsView() {
-				cf = append(cf, float64(v))
+			scratch.l1nz = nz
+			for _, r := range cx.classRefs {
+				start, end := cx.rowStart[r], cx.rowStart[r+1]
+				scores[r].Sim += cc.weights[r] * l1Sparse(cf, nz, cx.rowBin[start:end], cx.rowVal[start:end])
 			}
-			scratch.freqs = cf
-			cn := histogram.CountNorm(ch.CountsView())
-			if cn == 0 {
+			continue
+		}
+		// The candidate value of bin j is what the dense kernels see:
+		// float64 counts for cosine, float64(count)/total otherwise.
+		var cn, total float64
+		if c.measure.isCosine() {
+			if cn = histogram.CountNorm(counts); cn == 0 {
+				continue // CosineNormed is exactly 0 for every reference
+			}
+		} else {
+			if ch.Total() == 0 {
+				continue // all-zero frequencies: every term is exactly 0
+			}
+			total = float64(ch.Total())
+		}
+		// Cleared per class rather than kept zero across calls, so a
+		// recovered panic mid-scatter cannot leak partial sums into the
+		// next match through a long-lived scratch.
+		clear(acc)
+		for j, v := range counts {
+			if v == 0 {
 				continue
 			}
-			for r := 0; r < n; r++ {
-				nrm := cc.norms[r]
-				if nrm == 0 {
-					continue
+			lo, hi := cx.postStart[j], cx.postStart[j+1]
+			refs := cx.postRef[lo:hi]
+			vals := cx.postVal[lo:hi]
+			vals = vals[:len(refs)] // lets the compiler drop the vals[k] bounds checks
+			switch c.measure {
+			case MeasureIntersection:
+				f := float64(v) / total
+				for k, r := range refs {
+					acc[r] += math.Min(f, vals[k])
 				}
-				dot := 0.0
-				for i := cx.rowStart[r]; i < cx.rowStart[r+1]; i++ {
-					dot += cf[cx.rowBin[i]] * cx.rowVal[i]
+			case MeasureBhattacharyya:
+				f := float64(v) / total
+				for k, r := range refs {
+					acc[r] += math.Sqrt(f * vals[k])
 				}
-				scores[r].Sim += cc.weights[r] * (dot / (cn * nrm))
+			default: // cosine, count domain
+				f := float64(v)
+				for k, r := range refs {
+					acc[r] += f * vals[k]
+				}
 			}
 		}
+		// A zero sum (no shared bin) would add w·(+0): skipping it
+		// leaves the score bit-identical.
+		for r, a := range acc {
+			if a == 0 {
+				continue
+			}
+			if c.measure.isCosine() {
+				a /= cn * cc.norms[r]
+			}
+			scores[r].Sim += cc.weights[r] * a
+		}
 	}
-	return scores
 }

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"testing"
+
+	"dot11fp/internal/dot11"
+)
+
+// FuzzIndexedMatch is the differential test of the indexed full-vector
+// kernels: the fuzz bytes decode into a small reference set and two
+// candidates, the set is compiled with IndexOn and with IndexOff, and
+// every full similarity vector — MatchInto, MatchAllScratch, and the
+// fused and per-member rows of CompiledEnsemble.MatchAllScratch — must
+// agree bit for bit under all four measures. One scratch serves every
+// call of an input, across databases of different sizes, so residue
+// left in the reusable buffers shows up as a mismatch.
+//
+// Input layout (a byte past the end reads as 0):
+//
+//	n-1 (mod fuzzRefs), then per reference: a clone byte (5 mod 6
+//	clones the previous reference: a planted tie) and, unless cloned,
+//	one signature per ensemble member; then two candidates, each a
+//	presence byte (0 mod 5 is a nil candidate) and, if present, one
+//	signature per member.
+//
+// A signature is one control byte per class of fuzzClasses: 0 mod 4
+// absent, 1 mod 4 present but empty, otherwise 1+(c>>2)%4 (bin, count)
+// cells follow. References never carry fuzzClasses' last class, so a
+// candidate can hold a class no reference has.
+func FuzzIndexedMatch(f *testing.F) {
+	// Seed builders: a signature is a list of per-class encodings,
+	// padded with absent classes to the decoder's class count.
+	cells := func(pairs ...byte) []byte {
+		return append([]byte{byte(2 + 4*(len(pairs)/2-1))}, pairs...)
+	}
+	absent, empty := []byte{0}, []byte{1}
+	encode := func(lead byte, classes int, members [][][]byte) []byte {
+		out := []byte{lead}
+		for _, m := range members {
+			for i := 0; i < classes; i++ {
+				if i < len(m) {
+					out = append(out, m[i]...)
+				} else {
+					out = append(out, absent...)
+				}
+			}
+		}
+		return out
+	}
+	ref := func(members ...[][]byte) []byte { return encode(0, len(fuzzClasses)-1, members) }
+	cand := func(members ...[][]byte) []byte { return encode(1, len(fuzzClasses), members) }
+	nilCand, clone := []byte{0}, []byte{5}
+	input := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	a := [][]byte{cells(3, 2, 4, 1), cells(7, 3)}
+	b := [][]byte{cells(3, 1), absent, cells(9, 2, 12, 4)}
+	allEmpty := [][]byte{empty, empty, empty, empty}
+
+	f.Add(input([]byte{2},
+		ref(a, b), ref(b, a), ref(a, a),
+		nilCand, nilCand))
+	f.Add(input([]byte{1}, // empty classes on both sides
+		ref([][]byte{empty, cells(3, 2)}, b), ref(a, [][]byte{cells(5, 1), empty}),
+		cand([][]byte{empty, cells(3, 1)}, [][]byte{empty}), cand([][]byte{cells(3, 2), empty}, b)))
+	f.Add(input([]byte{1}, // a candidate class no reference carries
+		ref(a, b), ref(b, a),
+		cand([][]byte{absent, absent, absent, absent, cells(3, 5)}, [][]byte{absent, absent, absent, absent, cells(9, 1)}),
+		cand([][]byte{cells(3, 1), absent, absent, absent, cells(3, 5)}, b)))
+	f.Add(input([]byte{2}, // a zero-norm reference: every class present but empty
+		ref(a, b), ref(allEmpty, allEmpty), ref(b, b),
+		cand(a, b), cand(allEmpty, [][]byte{empty})))
+	f.Add(input([]byte{3}, // planted ties: clones of the first reference
+		ref(a, b), clone, clone, ref(b, a),
+		cand(a, b), cand(b, b)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := fuzzBytes(data)
+		spec := BinSpec{Width: synthWidth, Bins: 64}
+		params := []Param{ParamInterArrival, ParamSize}
+		refClasses := fuzzClasses[:len(fuzzClasses)-1]
+		n := 1 + int(d.next())%fuzzRefs
+		sigs := make([][]*Signature, len(params))
+		for i := 0; i < n; i++ {
+			clone := d.next()%6 == 5 && i > 0
+			for m, p := range params {
+				if clone {
+					sigs[m] = append(sigs[m], sigs[m][i-1].Clone())
+				} else {
+					sigs[m] = append(sigs[m], d.sig(p, spec, refClasses))
+				}
+			}
+		}
+		var cands []MultiCandidate
+		for i := 0; i < 2; i++ {
+			c := MultiCandidate{Addr: synthAddr(1000 + i), Sigs: make([]*Signature, len(params))}
+			if d.next()%5 != 0 {
+				for m, p := range params {
+					c.Sigs[m] = d.sig(p, spec, fuzzClasses)
+				}
+			}
+			cands = append(cands, c)
+		}
+		single := make([]Candidate, len(cands))
+		for i, c := range cands {
+			single[i] = Candidate{Addr: c.Addr, Sig: c.Sigs[0]}
+		}
+
+		var scratch MatchScratch
+		var es EnsembleScratch
+		for _, measure := range allMeasures {
+			exh, idx := buildPair(t, measure, sigs[0])
+			for _, c := range single {
+				want := append([]Score(nil), exh.MatchInto(c.Sig, &scratch)...)
+				sameScores(t, measure.String()+" MatchInto", want, idx.MatchInto(c.Sig, &scratch))
+			}
+			wantRows, gotRows := exh.MatchAllScratch(single, &scratch), idx.MatchAllScratch(single, &scratch)
+			for i := range wantRows {
+				sameScores(t, measure.String()+" MatchAllScratch", wantRows[i], gotRows[i])
+			}
+
+			ee, ei := buildEnsemblePair(t, measure, params, sigs)
+			wantF, wantP := ee.Compile().MatchAllScratch(cands, &es)
+			gotF, gotP := ei.Compile().MatchAllScratch(cands, &es)
+			for i := range wantF {
+				sameScores(t, measure.String()+" fused", wantF[i], gotF[i])
+				for m := range params {
+					sameScores(t, measure.String()+" member", wantP[i][m], gotP[i][m])
+				}
+			}
+		}
+	})
+}
+
+// fuzzRefs caps FuzzIndexedMatch's reference count.
+const fuzzRefs = 12
+
+// fuzzClasses are the frame classes FuzzIndexedMatch decodes; the last
+// is reserved for candidates.
+var fuzzClasses = append(append([]dot11.Class(nil), propClasses...), dot11.ClassProbeReq)
+
+// fuzzBytes is FuzzIndexedMatch's input cursor; reading past the end
+// yields zeros.
+type fuzzBytes []byte
+
+func (d *fuzzBytes) next() byte {
+	if len(*d) == 0 {
+		return 0
+	}
+	b := (*d)[0]
+	*d = (*d)[1:]
+	return b
+}
+
+// sig decodes one signature over classes (layout in FuzzIndexedMatch).
+func (d *fuzzBytes) sig(p Param, spec BinSpec, classes []dot11.Class) *Signature {
+	s := NewSignature(p, spec)
+	for _, class := range classes {
+		c := d.next()
+		switch c % 4 {
+		case 0:
+			continue
+		case 1:
+			synthAdd(s, class, 0, 0)
+			continue
+		}
+		for k := 0; k < 1+int(c>>2)%4; k++ {
+			bin := int(d.next()) % spec.Bins
+			synthAdd(s, class, bin, 1+int(d.next())%16)
+		}
+	}
+	return s
+}

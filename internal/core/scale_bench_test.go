@@ -16,9 +16,10 @@ import (
 //     when the engines run with Options.TopK. Sublinear in N: the term
 //     walk touches the candidate's rare postings and stops before the
 //     universal bins.
-//   - indexed-full: the full similarity vector through the sparse
-//     blocked kernels. Ω(N) by its output size, but with a far smaller
-//     constant than the dense path — and no N×bins dense matrices.
+//   - indexed-full: the full similarity vector through the postings
+//     scatter. Ω(N) by its output size, but the kernel work follows the
+//     candidate's shared support rather than N rows — and there are no
+//     N×bins dense matrices.
 //   - exhaustive: the dense IndexOff baseline. Capped at N=10k, where
 //     its row matrices already occupy ~1.3 GB; at 100k they would need
 //     ~13 GB, which is the memory half of why the index exists.

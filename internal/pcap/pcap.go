@@ -122,6 +122,9 @@ type Reader struct {
 	nanos     bool
 	linkType  uint32
 	snapLen   uint32
+	// hdr is NextInto's record-header buffer. As a local it would escape
+	// through io.ReadFull and cost one allocation per record.
+	hdr [16]byte
 }
 
 // NewReader parses the file header and returns a Reader positioned at
@@ -166,8 +169,8 @@ func (r *Reader) Next() (Packet, error) { return r.NextInto(nil) }
 // previous packet's Data (resliced to capacity) to amortise the buffer
 // across a whole capture.
 func (r *Reader) NextInto(buf []byte) (Packet, error) {
-	var rec [16]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
+	rec := r.hdr[:]
+	if _, err := io.ReadFull(r.r, rec); err != nil {
 		if err == io.EOF {
 			return Packet{}, io.EOF
 		}

@@ -279,3 +279,36 @@ func TestManyPackets(t *testing.T) {
 		t.Fatalf("read %d packets, want %d", count, n)
 	}
 }
+
+// TestReaderNextIntoZeroAllocs pins the streaming reader's steady state:
+// with a recycled buffer, reading a record allocates nothing.
+func TestReaderNextIntoZeroAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, LinkTypeRadiotap)
+	base := time.Unix(1_219_143_600, 0)
+	const runs = 200
+	for i := 0; i <= runs; i++ {
+		p := Packet{Time: base.Add(time.Duration(i) * time.Millisecond), Data: bytes.Repeat([]byte{byte(i)}, 64)}
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, 0, 128)
+	allocs := testing.AllocsPerRun(runs, func() {
+		p, err := r.NextInto(rec[:cap(rec)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = p.Data
+	})
+	if allocs != 0 {
+		t.Fatalf("NextInto allocated %v times per record, want 0", allocs)
+	}
+}
