@@ -168,9 +168,14 @@
 // cmd/livemon takes -enroll for single-feed monitoring.
 //
 // Multiple monitors feed one engine through capture.MultiStream
-// (NewMultiStream): each source decodes on its own goroutine and the
-// merge interleaves by timestamp (deterministic, for synced or rebased
-// captures) or by arrival (live FIFOs). cmd/fingerprintd packages the
+// (NewMultiStream): each source decodes on its own goroutine into a
+// per-source queue, publishing every record as soon as it is decoded
+// (none is held back to fill a batch, so a live feed adds no latency),
+// and the merge drains each queue in bulk — one lock per batch of up to
+// 512 records, not one channel operation per record. The merge
+// interleaves by timestamp (deterministic, for synced or rebased
+// captures; ties go to the lowest source index) or by arrival (live
+// FIFOs; each source's order is kept). cmd/fingerprintd packages the
 // whole stack as a daemon — multi-source ingest, sharded engine,
 // periodic stats, graceful drain on SIGINT/SIGTERM.
 //

@@ -247,9 +247,12 @@ func (st *srcState) observe(src RecordSource, sup *Supervisor) error {
 
 // MultiStream merges several record sources into one stream — several
 // monitors (or several pcap files / FIFOs) feeding one fingerprinting
-// engine. Each source is decoded on its own goroutine with a small
-// prefetch buffer, so slow inputs overlap; the merge itself preserves
-// each source's internal order.
+// engine. Each source is decoded on its own goroutine into a per-source
+// queue that the merge drains in bulk: the pump publishes every record
+// the moment it is decoded (no record is held back, so a live feed adds
+// no latency), and the merge swaps out everything published so far
+// under one lock, then serves it from a local cursor. The merge
+// preserves each source's internal order.
 //
 // With Rebase, each source's timestamps are shifted so its first record
 // lands at offset zero — aligning captures whose clocks never shared an
@@ -264,26 +267,20 @@ func (st *srcState) observe(src RecordSource, sup *Supervisor) error {
 // Next must be called from a single goroutine. Close may be called from
 // any goroutine to stop the stream early: pending sources are released
 // (sources implementing io.Closer are closed, unblocking stuck reads)
-// and Next returns io.EOF once the buffered records run out.
+// and Next returns io.EOF once the published records run out.
 type MultiStream struct {
 	mode    MergeMode
 	sup     Supervisor
-	heads   []multiHead   // MergeByTime: one pending record per live source
-	shared  chan srcEvent // MergeArrival: fan-in of every source
+	qs      []srcQueue
+	ready   chan struct{} // MergeArrival: the wake-up shared by every queue
+	rr      int           // MergeArrival: the source whose batch is being served
 	stop    chan struct{}
 	stopped sync.Once
-	live    int
+	live    int // sources whose terminal event is not yet consumed
 	srcs    []*srcState
 
 	mu   sync.Mutex
 	errs []error
-}
-
-// multiHead is one source's prefetch state in by-time mode.
-type multiHead struct {
-	ch  chan srcEvent
-	rec Record
-	ok  bool
 }
 
 // srcEvent is one decoded record or a source's terminal error.
@@ -292,10 +289,123 @@ type srcEvent struct {
 	err error // io.EOF for clean end of source
 }
 
-// multiPrefetch is the per-source decode depth. Large enough to keep
+// multiPrefetch is the per-source decode depth: the most records a
+// pump publishes before it waits for the merge. Large enough to keep
 // decode goroutines busy across merge scheduling, small enough that
 // Close never strands much work.
 const multiPrefetch = 512
+
+// srcQueue is the hand-off from one source's pump to the merge. The
+// pump appends each record to buf under mu; the merge takes the whole
+// of buf in one swap, handing back its drained local buffer as the next
+// buf, so the two never share a backing array and the steady state
+// allocates nothing.
+type srcQueue struct {
+	mu  sync.Mutex
+	buf []srcEvent // published, not yet taken; guarded by mu
+	// ready (cap 1) is signalled when buf goes non-empty. MergeArrival
+	// shares one ready channel across every source.
+	ready chan struct{}
+	// space (cap 1) is signalled when the merge takes a full buf.
+	space chan struct{}
+
+	// Keep the merge-only fields off the cache line the pump writes per
+	// record (and the next queue's, below).
+	_ [64]byte
+
+	// merge-goroutine-only
+	local []srcEvent // the taken batch; served from local[pos:]
+	pos   int
+	done  bool // terminal event consumed, or stopped with nothing left
+
+	_ [64]byte
+}
+
+func (q *srcQueue) init(ready chan struct{}) {
+	q.buf = make([]srcEvent, 0, multiPrefetch)
+	q.ready = ready
+	q.space = make(chan struct{}, 1)
+	q.local = make([]srcEvent, 0, multiPrefetch)
+}
+
+// put publishes ev, waiting for space while buf is full. It reports
+// false once stop is closed (ev is then dropped), so a pump whose
+// source cannot be closed still stops publishing after Close.
+func (q *srcQueue) put(ev srcEvent, stop <-chan struct{}) bool {
+	for {
+		select {
+		case <-stop:
+			return false
+		default:
+		}
+		q.mu.Lock()
+		if n := len(q.buf); n < multiPrefetch {
+			q.buf = append(q.buf, ev)
+			q.mu.Unlock()
+			if n == 0 {
+				select {
+				case q.ready <- struct{}{}:
+				default: // a wake-up is already pending
+				}
+			}
+			return true
+		}
+		q.mu.Unlock()
+		select {
+		case <-q.space:
+		case <-stop:
+		}
+	}
+}
+
+// take swaps the published buffer in as the local batch and reports
+// whether it holds anything. The local batch must be fully consumed.
+func (q *srcQueue) take() bool {
+	q.mu.Lock()
+	if len(q.buf) == 0 {
+		q.mu.Unlock()
+		return false
+	}
+	q.local, q.buf = q.buf, q.local[:0]
+	q.mu.Unlock()
+	q.pos = 0
+	if len(q.local) == multiPrefetch {
+		// The pump may be waiting for space.
+		select {
+		case q.space <- struct{}{}:
+		default:
+		}
+	}
+	return true
+}
+
+// pending reports whether the local batch holds an unconsumed event,
+// taking the published buffer when the batch is spent.
+func (q *srcQueue) pending() bool {
+	return q.pos < len(q.local) || q.take()
+}
+
+// pop consumes the head of the local batch, clearing its slot so the
+// buffer retains no record's ProbeIEs once it is handed back.
+func (q *srcQueue) pop() srcEvent {
+	ev := q.local[q.pos]
+	q.local[q.pos] = srcEvent{}
+	q.pos++
+	return ev
+}
+
+// retire ends q's source at its terminal event, recording err unless
+// it is io.EOF, a clean end.
+func (m *MultiStream) retire(q *srcQueue, err error) {
+	q.done = true
+	m.live--
+	if err == io.EOF {
+		return
+	}
+	m.mu.Lock()
+	m.errs = append(m.errs, err)
+	m.mu.Unlock()
+}
 
 // MultiOptions configures NewMultiStreamOpts.
 type MultiOptions struct {
@@ -324,25 +434,24 @@ func NewMultiStreamOpts(opts MultiOptions, sources ...RecordSource) *MultiStream
 	m := &MultiStream{
 		mode: opts.Mode,
 		sup:  opts.Supervisor,
+		qs:   make([]srcQueue, len(sources)),
 		stop: make(chan struct{}),
 		live: len(sources),
 		srcs: make([]*srcState, len(sources)),
 	}
-	for i := range m.srcs {
-		m.srcs[i] = &srcState{}
-	}
 	if opts.Mode == MergeArrival {
-		m.shared = make(chan srcEvent, multiPrefetch)
-		for i, src := range sources {
-			go m.pump(i, src, m.shared, opts.Rebase)
-		}
-		return m
+		m.ready = make(chan struct{}, 1)
 	}
-	m.heads = make([]multiHead, len(sources))
+	for i := range sources {
+		m.srcs[i] = &srcState{}
+		ready := m.ready
+		if ready == nil {
+			ready = make(chan struct{}, 1)
+		}
+		m.qs[i].init(ready)
+	}
 	for i, src := range sources {
-		ch := make(chan srcEvent, multiPrefetch)
-		m.heads[i] = multiHead{ch: ch}
-		go m.pump(i, src, ch, opts.Rebase)
+		go m.pump(i, src, opts.Rebase)
 	}
 	return m
 }
@@ -368,11 +477,12 @@ func jitter(d time.Duration, rng *rand.Rand) time.Duration {
 	return d/2 + time.Duration(rng.Int63n(int64(d/2)))
 }
 
-// pump decodes one source into its channel until EOF, terminal error,
-// or Close — supervising the source through failures when a Reopen
+// pump decodes one source into its queue until EOF, terminal error, or
+// Close — supervising the source through failures when a Reopen
 // factory is configured.
-func (m *MultiStream) pump(i int, src RecordSource, ch chan srcEvent, rebase bool) {
+func (m *MultiStream) pump(i int, src RecordSource, rebase bool) {
 	st := m.srcs[i]
+	q := &m.qs[i]
 	st.setCur(src)
 	var rng *rand.Rand
 	if m.sup.enabled() {
@@ -394,7 +504,6 @@ func (m *MultiStream) pump(i int, src RecordSource, ch chan srcEvent, rebase boo
 			rec, err = src.Next()
 		}
 		if err == nil {
-			st.records.Add(1)
 			// The tripping record itself is healthy — deliver it, fail
 			// the source on the next iteration.
 			pending = st.observe(src, &m.sup)
@@ -413,11 +522,10 @@ func (m *MultiStream) pump(i int, src RecordSource, ch chan srcEvent, rebase boo
 				rec.T -= offset
 			}
 			lastT, haveLast = rec.T, true
-			select {
-			case ch <- srcEvent{rec: rec}:
-			case <-m.stop:
+			if !q.put(srcEvent{rec: rec}, m.stop) {
 				return
 			}
+			st.records.Add(1)
 			continue
 		}
 		eof := err == io.EOF
@@ -425,10 +533,7 @@ func (m *MultiStream) pump(i int, src RecordSource, ch chan srcEvent, rebase boo
 			st.failures.Add(1)
 		}
 		if !m.sup.enabled() || (eof && !m.sup.reopenOnEOF(i)) {
-			select {
-			case ch <- srcEvent{err: err}:
-			case <-m.stop:
-			}
+			q.put(srcEvent{err: err}, m.stop)
 			return
 		}
 		// The source is down: close the dead generation, then reopen
@@ -442,10 +547,7 @@ func (m *MultiStream) pump(i int, src RecordSource, ch chan srcEvent, rebase boo
 			if max := m.sup.maxAttempts(); max > 0 && attempt > max {
 				st.permanent.Store(true)
 				m.sup.notify(SourceDown{Source: i, Err: err, Permanent: true})
-				select {
-				case ch <- srcEvent{err: fmt.Errorf("capture: source %d: giving up after %d attempts: %w", i, max, err)}:
-				case <-m.stop:
-				}
+				q.put(srcEvent{err: fmt.Errorf("capture: source %d: giving up after %d attempts: %w", i, max, err)}, m.stop)
 				return
 			}
 			wait := jitter(backoff, rng)
@@ -473,36 +575,27 @@ func (m *MultiStream) pump(i int, src RecordSource, ch chan srcEvent, rebase boo
 	}
 }
 
-// fill tops up a by-time head, retiring the source at EOF, error, or
-// Close (buffered records are drained first). Reports whether the head
-// holds a record.
-func (m *MultiStream) fill(h *multiHead) bool {
-	if h.ok || h.ch == nil {
-		return h.ok
-	}
-	var ev srcEvent
-	select {
-	case ev = <-h.ch:
-	default:
+// head makes q's next record available at q.local[q.pos], retiring the
+// source at its terminal event, or at Close once its published records
+// are drained. Reports whether a record is there.
+func (m *MultiStream) head(q *srcQueue) bool {
+	for !q.done {
+		if q.pending() {
+			if q.local[q.pos].err != nil {
+				m.retire(q, q.pop().err)
+				return false
+			}
+			return true
+		}
 		select {
-		case ev = <-h.ch:
+		case <-q.ready:
 		case <-m.stop:
-			h.ch = nil
-			return false
+			if !q.pending() {
+				q.done = true
+			}
 		}
 	}
-	if ev.err != nil {
-		if ev.err != io.EOF {
-			m.mu.Lock()
-			m.errs = append(m.errs, ev.err)
-			m.mu.Unlock()
-		}
-		h.ch = nil
-		m.live--
-		return false
-	}
-	h.rec, h.ok = ev.rec, true
-	return true
+	return false
 }
 
 // Next returns the next merged record, or io.EOF when every source has
@@ -510,44 +603,66 @@ func (m *MultiStream) fill(h *multiHead) bool {
 // it does not abort the merge).
 func (m *MultiStream) Next() (Record, error) {
 	if m.mode == MergeArrival {
-		for m.live > 0 {
-			var ev srcEvent
-			select {
-			case ev = <-m.shared:
-			default:
-				select {
-				case ev = <-m.shared:
-				case <-m.stop:
-					return Record{}, io.EOF
-				}
-			}
-			if ev.err != nil {
-				if ev.err != io.EOF {
-					m.mu.Lock()
-					m.errs = append(m.errs, ev.err)
-					m.mu.Unlock()
-				}
-				m.live--
-				continue
-			}
-			return ev.rec, nil
-		}
-		return Record{}, io.EOF
+		return m.nextArrival()
 	}
-	best := -1
-	for i := range m.heads {
-		if !m.fill(&m.heads[i]) {
+	best, bestT := -1, int64(0)
+	for i := range m.qs {
+		q := &m.qs[i]
+		if !m.head(q) {
 			continue
 		}
-		if best < 0 || m.heads[i].rec.T < m.heads[best].rec.T {
-			best = i
+		if t := q.local[q.pos].rec.T; best < 0 || t < bestT {
+			best, bestT = i, t
 		}
 	}
 	if best < 0 {
 		return Record{}, io.EOF
 	}
-	m.heads[best].ok = false
-	return m.heads[best].rec, nil
+	return m.qs[best].pop().rec, nil
+}
+
+// nextArrival serves the current source's batch until it is spent,
+// then moves on to the next source, polling the queues round-robin one
+// batch per turn — so a pump that keeps its queue non-empty cannot
+// starve the others — and waiting on the shared ready channel when
+// every queue is empty. After Close it drains what is already
+// published, then ends.
+func (m *MultiStream) nextArrival() (Record, error) {
+	stopped := false
+scan:
+	for m.live > 0 {
+		for range m.qs {
+			q := &m.qs[m.rr]
+			if !q.done && q.pending() {
+				ev := q.pop()
+				if q.pos == len(q.local) {
+					m.nextSource() // batch spent: the next source's turn
+				}
+				if ev.err != nil {
+					m.retire(q, ev.err)
+					continue scan
+				}
+				return ev.rec, nil
+			}
+			m.nextSource()
+		}
+		if stopped {
+			break
+		}
+		select {
+		case <-m.ready:
+		case <-m.stop:
+			stopped = true // one more full scan, then end
+		}
+	}
+	return Record{}, io.EOF
+}
+
+// nextSource advances the MergeArrival round-robin cursor.
+func (m *MultiStream) nextSource() {
+	if m.rr++; m.rr == len(m.qs) {
+		m.rr = 0
+	}
 }
 
 // Close stops the stream: decode goroutines are released (sources

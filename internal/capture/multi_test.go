@@ -3,6 +3,7 @@ package capture
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -88,10 +89,13 @@ func TestMultiStreamByTime(t *testing.T) {
 }
 
 // TestMultiStreamArrival pins the live-feed mode: every record arrives
-// exactly once (order unspecified), and EOF follows the last source.
+// exactly once, each source's records arrive in that source's order
+// (the interleaving across sources is unspecified), and EOF follows
+// the last source.
 func TestMultiStreamArrival(t *testing.T) {
 	t.Parallel()
-	tr, readers := multiFixture(t, 400, 4, 4)
+	const parts = 4
+	tr, readers := multiFixture(t, 400, 4, parts)
 	srcs := make([]RecordSource, len(readers))
 	for i, r := range readers {
 		srcs[i] = r
@@ -99,6 +103,7 @@ func TestMultiStreamArrival(t *testing.T) {
 	ms := NewMultiStream(MergeArrival, false, srcs...)
 	defer ms.Close()
 	seen := make(map[int64]int)
+	lastT := [parts]int64{-1, -1, -1, -1}
 	n := 0
 	for {
 		rec, err := ms.Next()
@@ -108,6 +113,12 @@ func TestMultiStreamArrival(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// multiFixture deals record i (T = i·1000) to part i%parts.
+		p := rec.T / 1000 % parts
+		if rec.T <= lastT[p] {
+			t.Fatalf("source %d out of order: T=%d after T=%d", p, rec.T, lastT[p])
+		}
+		lastT[p] = rec.T
 		seen[rec.T]++
 		n++
 	}
@@ -193,6 +204,139 @@ func TestMultiStreamClose(t *testing.T) {
 		}
 	}
 	ms.Close() // idempotent
+}
+
+// stallAfterSource yields its scripted records, then blocks like a
+// live feed whose writer has gone quiet, until closed.
+type stallAfterSource struct {
+	scriptSource
+	*stallSource
+}
+
+func (s *stallAfterSource) Next() (Record, error) {
+	if s.i < len(s.recs) {
+		return s.scriptSource.Next()
+	}
+	return s.stallSource.Next()
+}
+
+// TestMultiStreamNoHoldBack pins that a pump publishes every record as
+// soon as it is decoded: a source that yields a few records (far fewer
+// than the prefetch depth) and then blocks must have all of them
+// delivered by Next without further input, in both merge modes, and
+// Close must then unblock the consumer.
+func TestMultiStreamNoHoldBack(t *testing.T) {
+	t.Parallel()
+	const k = 5
+	for _, mode := range []MergeMode{MergeByTime, MergeArrival} {
+		src := &stallAfterSource{
+			scriptSource: scriptSource{recs: seqRecords(0, k, 1)},
+			stallSource:  newStallSource(),
+		}
+		ms := NewMultiStream(mode, false, src)
+		defer ms.Close()
+		got := make(chan error, 2)
+		go func() {
+			for i := 0; i < k; i++ {
+				if _, err := ms.Next(); err != nil {
+					got <- fmt.Errorf("record %d: %w", i, err)
+					return
+				}
+			}
+			got <- nil
+			_, err := ms.Next()
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatalf("mode %d: %v", mode, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("mode %d: %d published records held back while the source blocks", mode, k)
+		}
+		ms.Close()
+		select {
+		case err := <-got:
+			if err != io.EOF {
+				t.Fatalf("mode %d: Next after Close = %v, want io.EOF", mode, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("mode %d: Next still blocked after Close", mode)
+		}
+	}
+}
+
+// endlessSource yields records from sender LocalAddr(id+1) with
+// ascending timestamps forever, allocating nothing.
+type endlessSource struct {
+	id uint64
+	t  int64
+}
+
+func (s *endlessSource) Next() (Record, error) {
+	s.t += 1000
+	return Record{T: s.t, Sender: dot11.LocalAddr(s.id + 1), Class: dot11.ClassData,
+		Size: 300, RateMbps: 24, FCSOK: true}, nil
+}
+
+// TestMultiStreamArrivalFair pins that MergeArrival takes turns across
+// sources one batch at a time. Before each round both pumps have
+// filled their queues, so each source always has records waiting; a
+// round of multiPrefetch records must then come from one source, and
+// the rounds must alternate. A merge that keeps re-draining whichever
+// queue it is on while that queue stays non-empty would serve source 0
+// every round, starving source 1's pump and the writer behind it.
+func TestMultiStreamArrivalFair(t *testing.T) {
+	t.Parallel()
+	ms := NewMultiStream(MergeArrival, false, &endlessSource{id: 0}, &endlessSource{id: 1})
+	defer ms.Close()
+	var delivered [2]uint64
+	for round := 0; round < 4; round++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			st := ms.SourceStats()
+			if st[0].Records-delivered[0] >= multiPrefetch && st[1].Records-delivered[1] >= multiPrefetch {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: queues never filled: %+v", round, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		want := dot11.LocalAddr(uint64(round%2) + 1)
+		for i := 0; i < multiPrefetch; i++ {
+			rec, err := ms.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Sender != want {
+				t.Fatalf("round %d, record %d: sender %v, want %v (source %d's turn)", round, i, rec.Sender, want, round%2)
+			}
+		}
+		delivered[round%2] += multiPrefetch
+	}
+}
+
+// TestMultiStreamNextZeroAllocs pins the steady-state hand-off at zero
+// allocations, pumps included: each run drains several full batches
+// per source, so a queue that allocated a buffer per swap would show.
+// Not parallel: AllocsPerRun counts every goroutine's allocations.
+func TestMultiStreamNextZeroAllocs(t *testing.T) {
+	for _, mode := range []MergeMode{MergeByTime, MergeArrival} {
+		ms := NewMultiStream(mode, false, &endlessSource{id: 0}, &endlessSource{id: 1})
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 8*multiPrefetch; i++ {
+				if _, err := ms.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		ms.Close()
+		if allocs != 0 {
+			t.Fatalf("mode %d: %v allocations over %d Next calls, want 0", mode, allocs, 8*multiPrefetch)
+		}
+	}
 }
 
 // TestStreamReaderTruncatedRecord pins the defined behaviour on a pcap
