@@ -24,9 +24,16 @@
 //	        cand.Window, dot11fp.Addr(cand.Addr), best.Addr, best.Sim)
 //	}
 //
-// Real captures enter the pipeline through ReadPcap (radiotap link
-// type); the bundled simulator substitutes for the paper's testbed and
-// CRAWDAD traces, as detailed in DESIGN.md.
+// Real captures enter the pipeline through ReadPcap or ReadPcapStream
+// (radiotap or AVS/Prism link type); the bundled simulator substitutes
+// for the paper's testbed and CRAWDAD traces, as detailed in DESIGN.md.
+// Both readers share one decoder, built to keep up with a busy channel:
+// each pcap record is copied once out of the read buffer, the radiotap
+// field layout is computed once per capture rather than per frame, and
+// the 802.11 header is read through a table indexed by the frame
+// control's low byte. The straightforward decoders (radiotap.Decode,
+// dot11.Decode) stay as the reference, and the fuzz targets check that
+// the fast path yields the same records, skips and errors.
 //
 // # Streaming
 //

@@ -330,8 +330,16 @@ func ReadPcap(r io.Reader) (*Trace, error) {
 // stream one at a time, without materialising the trace — O(1) memory
 // for arbitrarily long captures, the input path of the streaming
 // engine. The packet buffer is recycled across records, so the steady
-// state allocates nothing per frame beyond what the pcap payload
-// forces.
+// state allocates nothing per frame except a probe request's ProbeIEs
+// copy (TestStreamReaderNextZeroAllocs).
+//
+// Decoding reads only what a Record needs, with straight loads: the
+// pcap reader copies each record out of its buffered window, a
+// radiotap.Decoder caches the capture's field layout, and
+// dot11.DecodeHeader reads the MAC header through a frame-control
+// table. The results are those of the package-level decoders
+// (radiotap.Decode, dot11.Decode), which FuzzStreamReader keeps as its
+// reference.
 //
 // Records stream in capture order; frames whose capture or 802.11
 // headers do not parse are skipped, exactly like ReadPcap (which is a
@@ -339,6 +347,7 @@ func ReadPcap(r io.Reader) (*Trace, error) {
 type StreamReader struct {
 	pr        *pcap.Reader
 	isPrism   bool
+	rt        radiotap.Decoder
 	buf       []byte
 	first     bool
 	base      time.Time
@@ -396,7 +405,7 @@ func (s *StreamReader) Next() (Record, error) {
 				hasSig:  ph.SSIType == prism.SSITypeDBm, sig: int8(ph.SSISignal),
 			}
 		} else {
-			rt, hn, err := radiotap.Decode(p.Data)
+			rt, hn, err := s.rt.Decode(p.Data)
 			if err != nil {
 				s.skipped.Add(1)
 				continue
@@ -410,8 +419,8 @@ func (s *StreamReader) Next() (Record, error) {
 				hasSig:  rt.HasAntSignal, sig: rt.AntSignal,
 			}
 		}
-		frame, err := dot11.Decode(p.Data[n:], false)
-		if err != nil {
+		var hdr dot11.Header
+		if !dot11.DecodeHeader(p.Data[n:], &hdr) {
 			s.skipped.Add(1)
 			continue
 		}
@@ -431,24 +440,24 @@ func (s *StreamReader) Next() (Record, error) {
 		}
 		rec := Record{
 			T:         t,
-			Sender:    frame.TA(),
-			Receiver:  frame.RA(),
-			Class:     dot11.Classify(frame.FC),
+			Sender:    hdr.TA,
+			Receiver:  hdr.RA,
+			Class:     hdr.Class,
 			Size:      p.OrigLen - n,
 			RateMbps:  meta.rate,
-			Retry:     frame.FC.Retry,
+			Retry:     hdr.Retry,
 			FCSOK:     meta.fcsOK,
-			Protected: frame.FC.Protected,
+			Protected: hdr.Protected,
 		}
 		if meta.hasSig {
 			rec.SignalDBm = meta.sig
 		}
-		// Copy-on-retain: frame.Body aliases the recycled packet buffer,
+		// Copy-on-retain: hdr.Body aliases the recycled packet buffer,
 		// and the record outlives the next NextInto call. Probe-request
 		// content is the one body downstream keeps, so it is the one
 		// body that must be copied out of the buffer here.
-		if rec.Class == dot11.ClassProbeReq && len(frame.Body) > 0 {
-			rec.ProbeIEs = append([]byte(nil), frame.Body...)
+		if rec.Class == dot11.ClassProbeReq && len(hdr.Body) > 0 {
+			rec.ProbeIEs = append([]byte(nil), hdr.Body...)
 		}
 		if rec.Protected {
 			s.encrypted = true

@@ -211,6 +211,67 @@ func Decode(raw []byte, checkFCS bool) (Frame, error) {
 	return f, nil
 }
 
+// Header is the view of a frame's MAC header that a capture record
+// reads: DecodeHeader fills it without building a Frame.
+type Header struct {
+	Class     Class
+	Retry     bool
+	Protected bool
+	RA        Addr
+	TA        Addr   // zero for frame types without a transmitter address
+	Body      []byte // aliases the decoded bytes; nil for control frames
+}
+
+// fcInfo is what the frame control's low byte (protocol, type and
+// subtype) determines about a frame's header.
+type fcInfo struct {
+	class   Class
+	hdrLen  uint8
+	hasTA   bool
+	hasBody bool
+}
+
+// fcTable maps every frame-control low byte to its fcInfo. It is built
+// from Classify, headerLen and HasTA, so it agrees with Decode by
+// construction.
+var fcTable = func() (t [256]fcInfo) {
+	for b := range t {
+		f := Frame{FC: DecodeFrameControl(uint16(b))}
+		t[b] = fcInfo{Classify(f.FC), uint8(f.headerLen()), f.HasTA(), f.FC.Type != TypeControl}
+	}
+	return t
+}()
+
+// DecodeHeader is Decode(raw, false) reduced to the fields of Header:
+// it accepts exactly the frames Decode accepts, and fills h with
+// Classify(f.FC), f.FC.Retry, f.FC.Protected, f.RA(), f.TA() and
+// f.Body. It reports false, leaving h unspecified, for a short frame.
+func DecodeHeader(raw []byte, h *Header) bool {
+	if len(raw) < hdrLenCTSACK+fcsLen {
+		return false
+	}
+	fc := &fcTable[raw[0]]
+	n := int(fc.hdrLen)
+	if len(raw) < n+fcsLen {
+		return false
+	}
+	h.Class = fc.class
+	// Retry and Protected are frame-control bits 11 and 14, in the
+	// little-endian field's high byte.
+	h.Retry = raw[1]&(1<<(11-8)) != 0
+	h.Protected = raw[1]&(1<<(14-8)) != 0
+	copy(h.RA[:], raw[4:10])
+	h.TA = ZeroAddr
+	if fc.hasTA {
+		copy(h.TA[:], raw[10:16])
+	}
+	h.Body = nil
+	if fc.hasBody {
+		h.Body = raw[n : len(raw)-fcsLen]
+	}
+	return true
+}
+
 // NewData builds an unencrypted data frame from a station to the DS
 // (ToDS=1): Addr1=BSSID, Addr2=SA, Addr3=DA.
 func NewData(sa, bssid, da Addr, body []byte) Frame {

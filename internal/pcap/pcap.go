@@ -48,7 +48,10 @@ type Packet struct {
 	// Data is the captured bytes (link-type dependent payload).
 	Data []byte
 	// OrigLen is the original packet length on the medium; equal to
-	// len(Data) unless the capture truncated the packet.
+	// len(Data) unless the capture truncated the packet. The Reader
+	// reports max(orig_len, incl_len), so OrigLen is never below
+	// len(Data) even when a corrupt record claims otherwise (Writer
+	// clamps the same way).
 	OrigLen int
 }
 
@@ -122,8 +125,9 @@ type Reader struct {
 	nanos     bool
 	linkType  uint32
 	snapLen   uint32
-	// hdr is NextInto's record-header buffer. As a local it would escape
-	// through io.ReadFull and cost one allocation per record.
+	// hdr receives a record header that straddles the buffered window.
+	// As a local it would escape through io.ReadFull and cost one
+	// allocation per such record.
 	hdr [16]byte
 }
 
@@ -169,12 +173,22 @@ func (r *Reader) Next() (Packet, error) { return r.NextInto(nil) }
 // previous packet's Data (resliced to capacity) to amortise the buffer
 // across a whole capture.
 func (r *Reader) NextInto(buf []byte) (Packet, error) {
-	rec := r.hdr[:]
-	if _, err := io.ReadFull(r.r, rec); err != nil {
-		if err == io.EOF {
-			return Packet{}, io.EOF
+	// The common record lies wholly inside the buffered window: peek its
+	// header and copy the body straight out of the window, one copy and
+	// no read calls. A record straddling the window's end is read with
+	// io.ReadFull, header and body alike.
+	var rec []byte
+	if r.r.Buffered() >= 16 {
+		rec, _ = r.r.Peek(16)
+		_, _ = r.r.Discard(16) // rec stays valid until the next read
+	} else {
+		rec = r.hdr[:]
+		if _, err := io.ReadFull(r.r, rec); err != nil {
+			if err == io.EOF {
+				return Packet{}, io.EOF
+			}
+			return Packet{}, fmt.Errorf("%w: record header: %v", ErrTruncated, err)
 		}
-		return Packet{}, fmt.Errorf("%w: record header: %v", ErrTruncated, err)
 	}
 	sec := int64(r.byteOrder.Uint32(rec[0:4]))
 	sub := int64(r.byteOrder.Uint32(rec[4:8]))
@@ -192,8 +206,16 @@ func (r *Reader) NextInto(buf []byte) (Packet, error) {
 	} else {
 		data = make([]byte, incl)
 	}
-	if _, err := io.ReadFull(r.r, data); err != nil {
-		return Packet{}, fmt.Errorf("%w: record body: %v", ErrTruncated, err)
+	// Data is a copy, never a view of the buffered window: it must stay
+	// valid across later reads.
+	if n := int(incl); n <= r.r.Buffered() {
+		win, _ := r.r.Peek(n)
+		copy(data, win)
+		_, _ = r.r.Discard(n)
+	} else {
+		if _, err := io.ReadFull(r.r, data); err != nil {
+			return Packet{}, fmt.Errorf("%w: record body: %v", ErrTruncated, err)
+		}
 	}
 	ns := sub * 1000
 	if r.nanos {
@@ -202,7 +224,7 @@ func (r *Reader) NextInto(buf []byte) (Packet, error) {
 	return Packet{
 		Time:    time.Unix(sec, ns).UTC(),
 		Data:    data,
-		OrigLen: int(orig),
+		OrigLen: int(max(orig, incl)),
 	}, nil
 }
 

@@ -240,6 +240,36 @@ func TestOrigLenDefaultsToDataLen(t *testing.T) {
 	}
 }
 
+// TestOrigLenNeverBelowInclLen: a record header claiming an orig_len
+// below its incl_len reads back with OrigLen = incl_len (the clamp
+// Writer applies on the way out); a larger orig_len is kept.
+func TestOrigLenNeverBelowInclLen(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ orig, want uint32 }{{0, 6}, {5, 6}, {6, 6}, {1500, 1500}} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, LinkTypeRadiotap)
+		if err := w.WritePacket(Packet{Time: time.Unix(1, 0), Data: []byte("abcdef")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		binary.LittleEndian.PutUint32(raw[24+12:24+16], tc.orig)
+		r, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.OrigLen != int(tc.want) {
+			t.Errorf("orig_len %d: OrigLen = %d, want %d", tc.orig, p.OrigLen, tc.want)
+		}
+	}
+}
+
 func TestManyPackets(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer

@@ -2,6 +2,8 @@ package radiotap
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -33,8 +35,23 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte{1, 0, 8, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, 12, 0, 0, 0, 0, 0x80, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, 12, 0, 0, 0, 0, 0x40, 0, 0, 0, 0})
+	// Header sequences for the Decoder leg (see decoderLeg): layout
+	// changes, a cached layout's present word with a header length too
+	// short for it, a length past the buffer, padding beyond the last
+	// field, and a bad version byte after a hit.
+	minimal := (&Header{}).Encode()
+	tsft := (&Header{TSFT: 9, HasTSFT: true}).Encode()
+	shortLen := withLen(enc, len(enc)-1)
+	padded := withLen(append(append([]byte(nil), enc...), 0, 0, 0, 0), len(enc)+4)
+	badVersion := append([]byte(nil), enc...)
+	badVersion[0] = 1
+	f.Add(headerSeq(enc, minimal, enc, tsft, enc))
+	f.Add(headerSeq(enc, shortLen, enc, shortLen[:len(enc)-1]))
+	f.Add(headerSeq(enc, enc[:len(enc)-1], padded, enc))
+	f.Add(headerSeq(enc, badVersion, enc))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		decoderLeg(t, raw)
 		h, n, err := Decode(raw)
 		if err != nil {
 			return
@@ -54,6 +71,62 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip drifted:\n got %+v\nwant %+v", h2, h)
 		}
 	})
+}
+
+// withLen returns a copy of a header with its length field set to n.
+func withLen(h []byte, n int) []byte {
+	h = append([]byte(nil), h...)
+	binary.LittleEndian.PutUint16(h[2:4], uint16(n))
+	return h
+}
+
+// headerSeq encodes headers in decoderLeg's sequence form: each one is
+// a length byte followed by that many bytes.
+func headerSeq(hs ...[]byte) []byte {
+	var out []byte
+	for _, h := range hs {
+		out = append(append(out, byte(len(h))), h...)
+	}
+	return out
+}
+
+// decoderLeg makes FuzzParse differential: it splits the fuzz bytes
+// into a sequence of headers (headerSeq's form, the last one cut to
+// what remains) and runs one Decoder over the sequence twice, so every
+// layout it learns is also hit. Each result must equal Decode's: the
+// header, the length, and the error under errors.Is.
+func decoderLeg(t *testing.T, raw []byte) {
+	var hs [][]byte
+	for len(raw) > 0 {
+		n := min(int(raw[0]), len(raw)-1)
+		hs = append(hs, raw[1:1+n])
+		raw = raw[1+n:]
+	}
+	var d Decoder
+	for pass := 0; pass < 2; pass++ {
+		for i, h := range hs {
+			got, gotN, gotErr := d.Decode(h)
+			want, wantN, wantErr := Decode(h)
+			if got != want || gotN != wantN || !sameError(gotErr, wantErr) {
+				t.Fatalf("pass %d header %d (% x): Decoder = %+v, %d, %v; Decode = %+v, %d, %v",
+					pass, i, h, got, gotN, gotErr, want, wantN, wantErr)
+			}
+		}
+	}
+}
+
+// sameError reports whether a and b are both nil or match the same
+// package errors.
+func sameError(a, b error) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for _, e := range []error{ErrTruncated, ErrBadVersion, ErrUnknownBits} {
+		if errors.Is(a, e) != errors.Is(b, e) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzParse finds its way here too: a deterministic spot-check that the

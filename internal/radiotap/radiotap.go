@@ -279,6 +279,90 @@ func Decode(raw []byte) (Header, int, error) {
 	return h, hlen, nil
 }
 
+// Decoder is Decode with a one-entry layout cache. A monitor emits one
+// present word for a whole capture, so the field offsets it implies
+// are computed once: the Decoder remembers the layout of the last
+// present word that parsed and, while headers keep presenting it, reads
+// every field with a straight load from its cached offset. Any other
+// header takes Decode's path (and, if it parses, becomes the cached
+// layout). Results are identical to Decode's for every input. The zero
+// value is ready to use; a Decoder is not safe for concurrent use.
+type Decoder struct {
+	present uint32
+	// end is the offset just past the layout's last field, the smallest
+	// header length that holds it; 0 means nothing is cached.
+	end int
+	// off is the cached offset of each decoded field's bit, 0 when the
+	// present word lacks it (real offsets start at 8).
+	off [bitRxFlags + 1]uint16
+}
+
+// Decode parses a radiotap header from the front of raw exactly like
+// the package-level Decode.
+func (d *Decoder) Decode(raw []byte) (Header, int, error) {
+	if d.end != 0 && len(raw) >= 8 && raw[0] == 0 {
+		hlen := int(binary.LittleEndian.Uint16(raw[2:4]))
+		if binary.LittleEndian.Uint32(raw[4:8]) == d.present && d.end <= hlen && hlen <= len(raw) {
+			return d.load(raw), hlen, nil
+		}
+	}
+	h, n, err := Decode(raw)
+	if err == nil {
+		d.learn(binary.LittleEndian.Uint32(raw[4:8]))
+	}
+	return h, n, err
+}
+
+// learn caches the layout of a present word Decode has accepted: a
+// single word of known bits, so every field has a fieldSpecs entry.
+func (d *Decoder) learn(present uint32) {
+	d.present, d.off = present, [len(d.off)]uint16{}
+	off := 8
+	for bit := range fieldSpecs {
+		if present&(1<<uint(bit)) == 0 {
+			continue
+		}
+		spec := fieldSpecs[bit]
+		off = align(off, spec.align)
+		d.off[bit] = uint16(off)
+		off += spec.size
+	}
+	d.end = off
+}
+
+// load reads the cached layout's fields from raw; the caller has
+// checked that raw holds at least d.end bytes.
+func (d *Decoder) load(raw []byte) Header {
+	var h Header
+	if o := d.off[bitTSFT]; o != 0 {
+		h.TSFT, h.HasTSFT = binary.LittleEndian.Uint64(raw[o:]), true
+	}
+	if o := d.off[bitFlags]; o != 0 {
+		h.Flags, h.HasFlags = raw[o], true
+	}
+	if o := d.off[bitRate]; o != 0 {
+		h.Rate, h.HasRate = raw[o], true
+	}
+	if o := d.off[bitChannel]; o != 0 {
+		h.ChannelFreq = binary.LittleEndian.Uint16(raw[o:])
+		h.ChannelFlags = binary.LittleEndian.Uint16(raw[o+2:])
+		h.HasChannel = true
+	}
+	if o := d.off[bitAntSignal]; o != 0 {
+		h.AntSignal, h.HasAntSignal = int8(raw[o]), true
+	}
+	if o := d.off[bitAntNoise]; o != 0 {
+		h.AntNoise, h.HasAntNoise = int8(raw[o]), true
+	}
+	if o := d.off[bitAntenna]; o != 0 {
+		h.Antenna, h.HasAntenna = raw[o], true
+	}
+	if o := d.off[bitRxFlags]; o != 0 {
+		h.RxFlags, h.HasRxFlags = binary.LittleEndian.Uint16(raw[o:]), true
+	}
+	return h
+}
+
 // Freq2GHz returns the centre frequency in MHz of a 2.4 GHz channel
 // number (1–14), e.g. channel 6 → 2437.
 func Freq2GHz(channel int) uint16 {

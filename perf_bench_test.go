@@ -231,6 +231,45 @@ func BenchmarkPcapRoundTrip(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
+// BenchmarkStreamReaderDecode measures the capture decode layer alone —
+// pcap framing, radiotap or Prism metadata and the 802.11 header — by
+// streaming the micro trace's pcap encoding through PcapStream.Next.
+// One op is the whole capture; ns/frame is the per-record cost.
+func BenchmarkStreamReaderDecode(b *testing.B) {
+	for _, lt := range []struct {
+		name string
+		link uint32
+	}{{"radiotap", dot11fp.LinkTypeRadiotap}, {"prism", dot11fp.LinkTypePrism}} {
+		b.Run(lt.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := dot11fp.WritePcapLinkType(&buf, microTrace, lt.link); err != nil {
+				b.Fatal(err)
+			}
+			raw := buf.Bytes()
+			var frames int
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sr, err := dot11fp.ReadPcapStream(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := sr.Next(); err != nil {
+						if err != io.EOF {
+							b.Fatal(err)
+						}
+						break
+					}
+					frames++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames), "ns/frame")
+		})
+	}
+}
+
 // BenchmarkDBCodec compares the two checkpoint codecs over the micro
 // fixture's trained database — the JSON interop path against the
 // binary format the trainer's SIGHUP checkpoints use.

@@ -35,7 +35,7 @@ trap 'rm -f "$raw"' EXIT
 scale_n="${SCALE_N:-1000|10000}"
 
 go test -run '^$' \
-  -bench 'BenchmarkDatabaseMatch|BenchmarkCandidatesIn|BenchmarkExtract|BenchmarkCosine512|BenchmarkPcapRoundTrip|BenchmarkEnginePush|BenchmarkEngineStream|BenchmarkEnsemblePush|BenchmarkClusterPush|BenchmarkShardedPush|BenchmarkDBCodec|BenchmarkEngineEnroll|BenchmarkMultiStreamDegraded|BenchmarkServerQuery|BenchmarkSSEFanout|BenchmarkServedStream' \
+  -bench 'BenchmarkDatabaseMatch|BenchmarkCandidatesIn|BenchmarkExtract|BenchmarkCosine512|BenchmarkPcapRoundTrip|BenchmarkStreamReaderDecode|BenchmarkEnginePush|BenchmarkEngineStream|BenchmarkEnsemblePush|BenchmarkClusterPush|BenchmarkShardedPush|BenchmarkDBCodec|BenchmarkEngineEnroll|BenchmarkMultiStreamDegraded|BenchmarkServerQuery|BenchmarkSSEFanout|BenchmarkServedStream' \
   -benchmem -benchtime="$benchtime" -count="$count" . ./internal/server | tee "$raw"
 
 # The indexed-matching scale curve; its own invocation so the N filter
