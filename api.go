@@ -92,7 +92,8 @@ const (
 // Match-index modes for Database.SetIndexing / Ensemble.SetIndexing.
 const (
 	// IndexAuto builds the index once the reference set is large
-	// enough for pruning to pay for itself (the default).
+	// enough for the sparse scatter to beat the dense rows (the
+	// default).
 	IndexAuto = core.IndexAuto
 	// IndexOn always builds the index.
 	IndexOn = core.IndexOn
@@ -238,7 +239,8 @@ type (
 	Event = engine.Event
 	// WindowClosed summarises one completed detection window.
 	WindowClosed = engine.WindowClosed
-	// CandidateMatched reports an identified candidate with its scores.
+	// CandidateMatched reports an identified candidate with its top-k
+	// scores.
 	CandidateMatched = engine.CandidateMatched
 	// UnknownDevice reports a candidate no reference accepted.
 	UnknownDevice = engine.UnknownDevice
@@ -266,6 +268,16 @@ type (
 	WindowResult = core.WindowResult
 )
 
+// Verdict bounds for EngineOptions.TopK and ShardedOptions.TopK.
+const (
+	// DefaultTopK is the number of ranked references a verdict event
+	// carries when TopK is zero.
+	DefaultTopK = engine.DefaultTopK
+	// FullVector makes verdict events carry the full similarity vector
+	// (and the per-member vectors in ensemble mode) instead of the top k.
+	FullVector = engine.FullVector
+)
+
 // NewEngine creates a streaming engine extracting signatures under cfg
 // and matching each closed window against db (nil runs extraction-only;
 // install references later with Engine.SetDB).
@@ -277,7 +289,8 @@ func NewEngine(cfg Config, db *CompiledDB, opts EngineOptions) (*Engine, error) 
 // member parameter is extracted in one pass and each closed window is
 // fuse-matched against edb (nil runs extraction-only; install
 // references later with Engine.SetEnsembleDB). Verdict events carry
-// fused plus per-member score vectors.
+// the top k fused scores, or with FullVector the fused plus per-member
+// score vectors.
 func NewEnsembleEngine(cfgs []Config, edb *CompiledEnsemble, opts EngineOptions) (*Engine, error) {
 	return engine.NewEnsemble(cfgs, edb, opts)
 }

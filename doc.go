@@ -46,7 +46,9 @@
 // boundary the closed window's candidates are matched against the
 // compiled references and typed events (CandidateMatched,
 // UnknownDevice, CandidateDropped, WindowClosed) are delivered to the
-// caller's sink, synchronously on the pushing goroutine:
+// caller's sink, synchronously on the pushing goroutine. A verdict
+// carries its best reference and the ranked top k (see "Indexed
+// matching"):
 //
 //	eng, _ := dot11fp.NewEngine(cfg, db.Compile(), dot11fp.EngineOptions{
 //	    Sink: dot11fp.SinkFunc(func(ev dot11fp.Event) {
@@ -258,8 +260,10 @@
 // NewShardedEnsembleEngine extract every member parameter in one pass
 // — one window clock, one shared inter-arrival context, one signature
 // per member per sender — and match each closed window on the fused
-// score, emitting verdict events that carry the fused vector (Scores)
-// plus the per-member vectors and signatures (ParamScores, Sigs):
+// score, emitting verdict events that carry the top k of the fused
+// vector (Scores) and the per-member signatures (Sigs); with
+// EngineOptions.TopK = FullVector they carry the whole fused vector plus
+// the per-member vectors (ParamScores):
 //
 //	cfgs := []dot11fp.Config{
 //	    {Param: dot11fp.ParamRate}, {Param: dot11fp.ParamSize}, {Param: dot11fp.ParamInterArrival},
@@ -328,7 +332,7 @@
 // /api/v1/sites/{site}:
 //
 //	GET  .../senders            last verdict per sender (bounded cache)
-//	GET  .../senders/{mac}      "who is sender X": verdict + full score vector
+//	GET  .../senders/{mac}      "who is sender X": verdict + its top-k scores
 //	GET  .../references         enrolled reference addresses
 //	GET  .../references/{mac}   one reference's per-parameter observations
 //	GET  .../enroll             pending enrollments + unanswered offers
@@ -393,6 +397,10 @@
 //	    ...
 //	}
 //
+// CompiledDB.TopKInto is the bounded form of the same call — the k
+// best references, selected from the same similarities and equally
+// allocation-free once warm (TestTopKIntoZeroAlloc).
+//
 // CompiledDB is safe for concurrent use (one scratch per goroutine);
 // CompiledDB.MatchAll batches a whole candidate set across GOMAXPROCS
 // workers with deterministic, index-ordered results. CandidatesIn
@@ -403,59 +411,61 @@
 //
 // # Indexed matching
 //
-// The dense compiled kernels are linear in the reference count: every
-// candidate touches every reference row. At fleet scale (tens of
-// thousands of enrolled devices) that linear sweep is the entire
-// matching cost, yet a detection verdict only ever consumes the best
-// few scores. Compile therefore also builds a sparse match index —
-// per-class inverted postings over the non-zero signature bins, plus
-// per-reference norm bounds grouped into coarse blocks — and Best,
-// Above and the TopK entry points run a best-first term walk over it:
-// postings are opened shortest-first, an admissible upper bound on
-// every unseen reference shrinks as terms are consumed, and the walk
-// stops as soon as no unseen reference can displace the current top-k.
-// Candidates are scored against far fewer than N references while the
-// returned scores, ranks and ties stay bit-identical to the exhaustive
-// sweep — the pruning bound is inflated by a hair above the kernels'
-// rounding, so a reference is only skipped when it provably cannot
-// matter (TestIndexedBitIdentical and TestEnsembleIndexBitIdentical pin
-// all four measures, adversarial near-ties included).
+// The dense compiled kernels are linear in the reference count with a
+// large constant: every candidate touches every bin of every reference
+// row. Compile therefore builds a sparse match index once the reference
+// set is large (IndexAuto, 256 references) — per-class inverted
+// postings over the non-zero signature bins, plus CSR rows — and skips
+// the dense matrices' memory when it does. IndexOn forces the index,
+// IndexOff keeps the dense baseline (Database.SetIndexing /
+// Ensemble.SetIndexing, or -index auto|on|off on livemon and
+// fingerprintd; trainers forward the mode to their working references
+// via Trainer.SetIndexing).
 //
-// IndexMode controls construction: IndexAuto (the default) builds the
-// index once the reference set is large enough for pruning to pay for
-// itself and skips the dense matrices' memory when it does; IndexOn
-// forces it; IndexOff keeps the exhaustive dense baseline
-// (Database.SetIndexing / Ensemble.SetIndexing, or -index auto|on|off
-// on livemon and fingerprintd — trainers forward the mode to their
-// working references via Trainer.SetIndexing). CompiledEnsemble prunes
-// on the fused score directly: member bounds combine into one fused
-// upper bound, so a multi-parameter top-k visits only references
-// competitive under the mean, not the union of per-member candidates.
-//
-// The full MatchInto/MatchAll vector is inherently Ω(N) — it returns N
-// scores — but over the index it is a postings scatter rather than a
-// sweep of every reference row: per class, only the postings of the
+// There is one match kernel, and everything reads its output. Over the
+// index it is a postings scatter: per class, only the postings of the
 // candidate's own non-zero bins are walked, each adding its term into a
 // per-reference accumulator kept in the MatchScratch, and each touched
 // reference's sum is then weighted and normalised exactly as the dense
-// kernel does. It is bit-identical because every reference still sums
-// the same non-zero terms in the same ascending-bin order; the terms
-// the scatter never visits are exact +0 adds in the dense loop (bins
-// the candidate lacks), which cannot change a sum of non-negative
-// terms. L1, whose disjoint terms are not zero, keeps a per-reference
-// union merge. The batch forms (MatchAllScratch, MatchAllWorkers) write
-// every member and fused row straight into the backing they return.
-// For the sublinear path, the engines expose
-// EngineOptions.TopK / ShardedOptions.TopK: verdict events then carry
-// the ranked k best scores instead of the full vector, with verdicts,
-// Best and window summaries unchanged (TestEngineTopKVerdictsIdentical
-// pins them bit-identical at every shard count). Index shape and cost —
-// entries, postings, bytes, and the dense bytes forgone — surface in
-// Engine/Sharded Stats().Index, the HTTP API's site snapshot and the
-// dot11fp_index_* Prometheus families. EXPERIMENTS.md records the
-// measured curve: at 10k references an indexed top-k window costs
-// under 0.1% of the dense sweep, and a 10× larger reference set
-// (10k → 100k) costs only ~1.3× more.
+// kernel does. It is bit-identical to the dense rows and to the naive
+// per-pair Similarity loop because every reference still sums the same
+// non-zero terms in the same ascending-bin order; the terms the scatter
+// never visits are exact +0 adds in the dense loop (bins the candidate
+// lacks), which cannot change a sum of non-negative terms. L1, whose
+// disjoint terms are not zero, keeps a per-reference union merge. The
+// kernel's similarities feed three consumers:
+//
+//   - MatchInto and the batch forms (MatchAllScratch, MatchAllWorkers)
+//     copy them out once, as the full vector, straight into the backing
+//     they return;
+//   - TopK/TopKInto and Best select from them: a bounded insertion over
+//     the vector in reference order, so ties go to the earlier reference
+//     exactly as the first strict maximum does;
+//   - Above filters them with >=.
+//
+// A CompiledEnsemble fuses its members' vectors (summed in member
+// order, divided by the member count) and then copies the fused vector
+// out or selects from it the same way. Selection only ranks the scores
+// the full vector holds, so every TopK, Best and Above result is
+// bit-identical to ranking or filtering it, by construction;
+// FuzzIndexedMatch pins all of them — single and fused, dense and
+// indexed, all four measures, planted ties — against the naive loop.
+//
+// What a verdict needs is the selection, not the vector: the
+// identification test keeps the closest reference and an operator the
+// few behind it. The engines' verdict events therefore carry the top k
+// (EngineOptions.TopK / ShardedOptions.TopK; DefaultTopK = 5 when zero),
+// with verdicts, Best and window summaries bit-identical to the
+// FullVector run (TestEngineTopKVerdictsIdentical, at every shard
+// count). FullVector restores the whole fused vector plus the per-member
+// vectors; Evaluate uses it, since the similarity test sweeps every
+// score. Bounding saves the vector's copy into every event and all
+// that happens to it downstream — the server's sender cache, SSE
+// encoding and query answers. Index shape and cost — entries, postings,
+// bytes, and the dense bytes forgone — surface in Engine/Sharded
+// Stats().Index, the HTTP API's site snapshot and the dot11fp_index_*
+// Prometheus families. EXPERIMENTS.md records the measured curves
+// ("Scatter + select").
 //
 // # Static analysis
 //

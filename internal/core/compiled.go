@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,9 +56,9 @@ type compiledClass struct {
 type MatchScratch struct {
 	freqs  []float64
 	scores []Score
-	l1nz   []int32      // candidate support scratch for the indexed L1 kernel
-	acc    []float64    // per-reference partial sums of the indexed full vector
-	search *searchState // pruned-search buffers, allocated on first TopK/Best/Above
+	sims   []float64 // per-reference similarities, written by simsInto
+	l1nz   []int32   // candidate support scratch for the indexed L1 kernel
+	acc    []float64 // per-class partial sums of the indexed scatter
 }
 
 // Compile freezes the database's current references into a CompiledDB.
@@ -188,18 +189,36 @@ func (c *CompiledDB) MatchInto(candidate *Signature, scratch *MatchScratch) []Sc
 
 // matchRow writes the similarity vector into scores (length Len()) and
 // returns it, using scratch only for the kernels' working buffers — the
-// batch entry points pass rows of the backing they hand off, so no
-// vector is computed in scratch and then copied.
+// batch entry points pass rows of the backing they hand off, so the
+// vector is copied out of the scratch exactly once.
 func (c *CompiledDB) matchRow(candidate *Signature, scratch *MatchScratch, scores []Score) []Score {
+	sims := c.simsInto(candidate, scratch)
 	for r, addr := range c.addrs {
-		scores[r] = Score{Addr: addr}
+		scores[r] = Score{Addr: addr, Sim: sims[r]}
 	}
+	return scores
+}
+
+// simsInto computes the candidate's similarity against every reference
+// into scratch.sims and returns it (length Len(), valid until the
+// scratch's next use). It is the one match kernel: the full vector, the
+// top-k selections and the fused ensemble vector all read its output.
+// Indexed snapshots take the postings scatter (index.go), dense ones
+// the row matrices; both are bit-identical to the naive Similarity
+// loop.
+func (c *CompiledDB) simsInto(candidate *Signature, scratch *MatchScratch) []float64 {
+	n := len(c.addrs)
+	if cap(scratch.sims) < n {
+		scratch.sims = make([]float64, n)
+	}
+	sims := scratch.sims[:n]
+	clear(sims)
 	if candidate == nil {
-		return scores
+		return sims
 	}
 	if c.idx != nil {
-		c.matchIndexed(candidate, scratch, scores)
-		return scores
+		c.simsIndexed(candidate, scratch, sims)
+		return sims
 	}
 	// Ascending class order mirrors Signature.Classes(), so every
 	// reference accumulates its per-class contributions in the same
@@ -219,7 +238,7 @@ func (c *CompiledDB) matchRow(candidate *Signature, scratch *MatchScratch, score
 		case MeasureIntersection, MeasureBhattacharyya, MeasureL1:
 			cf := ch.AppendFreqs(scratch.freqs[:0])
 			scratch.freqs = cf // keep the grown buffer for the next class
-			c.accumulate(scores, cc, cf, c.measure.fn())
+			c.accumulate(sims, cc, cf, c.measure.fn())
 		default:
 			// Count domain, like the naive cosine path. The candidate
 			// counts are converted to float64 once (exact, so the bits
@@ -231,26 +250,26 @@ func (c *CompiledDB) matchRow(candidate *Signature, scratch *MatchScratch, score
 			}
 			scratch.freqs = cf
 			cn := histogram.CountNorm(ch.CountsView())
-			for r := range c.addrs {
+			for r := range sims {
 				if !cc.has[r] {
 					continue
 				}
 				row := cc.rows[r*c.bins : (r+1)*c.bins]
-				scores[r].Sim += cc.weights[r] * histogram.CosineNormed(cf, row, cn, cc.norms[r])
+				sims[r] += cc.weights[r] * histogram.CosineNormed(cf, row, cn, cc.norms[r])
 			}
 		}
 	}
-	return scores
+	return sims
 }
 
 // accumulate applies a generic frequency-domain measure across every
 // reference row that carries the class.
-func (c *CompiledDB) accumulate(scores []Score, cc *compiledClass, cf []float64, f func(a, b []float64) float64) {
-	for r := range scores {
+func (c *CompiledDB) accumulate(sims []float64, cc *compiledClass, cf []float64, f func(a, b []float64) float64) {
+	for r := range sims {
 		if !cc.has[r] {
 			continue
 		}
-		scores[r].Sim += cc.weights[r] * f(cf, cc.rows[r*c.bins:(r+1)*c.bins])
+		sims[r] += cc.weights[r] * f(cf, cc.rows[r*c.bins:(r+1)*c.bins])
 	}
 }
 
@@ -280,42 +299,29 @@ func (c *CompiledDB) MatchAppend(candidate *Signature, dst []Score) []Score {
 }
 
 // Best returns the arg-max reference for the identification test, with
-// ok=false for an empty database. With the index enabled this is a
-// pruned top-1 search; the result is bit-identical to the full scan.
+// ok=false for an empty database: the top-1 selection, so ties go to the
+// earlier insertion index, as the first strict maximum of the full
+// vector does.
 func (c *CompiledDB) Best(candidate *Signature) (Score, bool) {
 	s := c.getScratch()
 	defer c.scratch.Put(s)
-	if c.idx != nil {
-		top := c.topKIndexed(candidate, 1, s.ensureSearch(len(c.addrs)))
-		if len(top) == 0 {
-			return Score{Sim: -1}, false
-		}
-		best := Score{Addr: c.addrs[top[0].ref], Sim: top[0].sim}
-		return best, best.Sim >= 0
+	top := c.TopKInto(candidate, 1, s)
+	if len(top) == 0 {
+		return Score{Sim: -1}, false
 	}
-	best := Score{Sim: -1}
-	for _, sc := range c.MatchInto(candidate, s) {
-		if sc.Sim > best.Sim {
-			best = sc
-		}
-	}
-	return best, best.Sim >= 0
+	return top[0], top[0].Sim >= 0
 }
 
 // Above returns the references whose similarity is at least the
-// threshold — the similarity test's returned set, in insertion order.
-// A positive threshold with the index enabled takes the pruned walk;
-// the returned set, order and scores are bit-identical either way.
+// threshold — the similarity test's returned set, in insertion order: a
+// filter over the similarity vector.
 func (c *CompiledDB) Above(candidate *Signature, threshold float64) []Score {
 	s := c.getScratch()
 	defer c.scratch.Put(s)
-	if c.idx != nil && threshold > 0 {
-		return c.aboveIndexed(candidate, threshold, s.ensureSearch(len(c.addrs)))
-	}
 	var out []Score
-	for _, sc := range c.MatchInto(candidate, s) {
-		if sc.Sim >= threshold {
-			out = append(out, sc)
+	for r, sim := range c.simsInto(candidate, s) {
+		if sim >= threshold {
+			out = append(out, Score{Addr: c.addrs[r], Sim: sim})
 		}
 	}
 	return out
@@ -324,90 +330,87 @@ func (c *CompiledDB) Above(candidate *Signature, threshold float64) []Score {
 // TopKInto returns the k best-matching references ranked by similarity
 // (ties broken toward the earlier insertion index — the same reference
 // Best would pick), writing into the scratch's buffers; the result is
-// only valid until the scratch's next use. With the index enabled the
-// search is pruned; scores, order and ties are bit-identical to ranking
-// the exhaustive similarity vector. k is clamped to Len(); k <= 0
-// returns nil.
+// only valid until the scratch's next use. It selects from the
+// similarity vector, so scores, order and ties are bit-identical to
+// ranking the full vector. k is clamped to Len(); k <= 0 returns nil. It
+// performs no allocation once the scratch has warmed up.
+//
+//fp:hotpath test=TestTopKIntoZeroAlloc
 func (c *CompiledDB) TopKInto(candidate *Signature, k int, scratch *MatchScratch) []Score {
-	n := len(c.addrs)
-	if k > n {
-		k = n
-	}
+	k = min(k, len(c.addrs))
 	if k <= 0 {
 		return nil
 	}
-	st := scratch.ensureSearch(n)
-	var top []topEntry
-	if c.idx != nil {
-		top = c.topKIndexed(candidate, k, st)
-	} else {
-		st.top = st.top[:0]
-		for r, sc := range c.MatchInto(candidate, scratch) {
-			st.top, _ = offerTop(st.top, k, sc.Sim, int32(r))
+	if cap(scratch.scores) < k {
+		scratch.scores = make([]Score, k)
+	}
+	return selectTop(scratch.scores[:k], c.simsInto(candidate, scratch), c.addrs)
+}
+
+// selectTop writes the len(dst) best entries of sims into dst, ranked
+// by score descending with ties toward the earlier index, and returns
+// dst (len(dst) <= len(sims)). sims is scanned in ascending index order,
+// so an entry only displaces or passes entries of strictly lower score:
+// an equal score from a later index always ranks behind.
+func selectTop(dst []Score, sims []float64, addrs []dot11.Addr) []Score {
+	k := len(dst)
+	top := dst[:0]
+	for r, sim := range sims {
+		if len(top) == k {
+			if !(sim > top[k-1].Sim) {
+				continue
+			}
+		} else {
+			top = top[:len(top)+1]
 		}
-		top = st.top
+		pos := len(top) - 1
+		for pos > 0 && sim > top[pos-1].Sim {
+			top[pos] = top[pos-1]
+			pos--
+		}
+		top[pos] = Score{Addr: addrs[r], Sim: sim}
 	}
-	out := st.out[:0]
-	for _, e := range top {
-		out = append(out, Score{Addr: c.addrs[e.ref], Sim: e.sim})
-	}
-	st.out = out
-	return out
+	return top
 }
 
 // TopK is the allocating convenience form of TopKInto.
 func (c *CompiledDB) TopK(candidate *Signature, k int) []Score {
 	s := c.getScratch()
 	defer c.scratch.Put(s)
-	res := c.TopKInto(candidate, k, s)
-	if res == nil {
-		return nil
-	}
-	out := make([]Score, len(res))
-	copy(out, res)
-	return out
+	return slices.Clone(c.TopKInto(candidate, k, s))
 }
 
 // TopKAllScratch ranks a batch of candidates through one long-lived
 // scratch, returning min(k, Len()) scores per candidate in one backing
 // allocation. Row i is exactly TopK(cands[i].Sig, k).
 func (c *CompiledDB) TopKAllScratch(cands []Candidate, k int, scratch *MatchScratch) [][]Score {
-	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
-	kk := min(k, len(c.addrs))
-	if kk <= 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*kk)
-	for i := range cands {
-		res := c.TopKInto(cands[i].Sig, k, scratch)
-		row := backing[i*kk : i*kk+len(res) : (i+1)*kk]
-		copy(row, res)
-		out[i] = row
-	}
-	return out
+	return c.topKAll(cands, k, func(row func(*MatchScratch, int)) {
+		for i := range cands {
+			row(scratch, i)
+		}
+	})
 }
 
 // TopKAllWorkers is TopKAllScratch fanned out across workers (0 selects
 // GOMAXPROCS, 1 forces the serial path); results are identical for
 // every worker count.
 func (c *CompiledDB) TopKAllWorkers(cands []Candidate, k, workers int) [][]Score {
+	return c.topKAll(cands, k, func(row func(*MatchScratch, int)) {
+		ForEachIndex(len(cands), workers, row)
+	})
+}
+
+// topKAll is matchAll for ranked rows: one backing of min(k, Len())
+// scores per candidate, each row selected straight into it.
+func (c *CompiledDB) topKAll(cands []Candidate, k int, each func(row func(*MatchScratch, int))) [][]Score {
 	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
+	k = min(k, len(c.addrs))
+	if len(cands) == 0 || k <= 0 {
 		return out
 	}
-	kk := min(k, len(c.addrs))
-	if kk <= 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*kk)
-	ForEachIndex(len(cands), workers, func(scratch *MatchScratch, i int) {
-		res := c.TopKInto(cands[i].Sig, k, scratch)
-		row := backing[i*kk : i*kk+len(res) : (i+1)*kk]
-		copy(row, res)
-		out[i] = row
+	backing := make([]Score, len(cands)*k)
+	each(func(scratch *MatchScratch, i int) {
+		out[i] = selectTop(backing[i*k:(i+1)*k:(i+1)*k], c.simsInto(cands[i].Sig, scratch), c.addrs)
 	})
 	return out
 }
@@ -489,10 +492,11 @@ func ForEachIndex(n, workers int, fn func(scratch *MatchScratch, i int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		var scratch MatchScratch
+		scratch := getWorkerScratch()
 		for i := 0; i < n; i++ {
-			fn(&scratch, i)
+			fn(scratch, i)
 		}
+		workerScratch.Put(scratch)
 		return
 	}
 	var next atomic.Int64
@@ -501,15 +505,29 @@ func ForEachIndex(n, workers int, fn func(scratch *MatchScratch, i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch MatchScratch
+			scratch := getWorkerScratch()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
+					workerScratch.Put(scratch)
 					return
 				}
-				fn(&scratch, i)
+				fn(scratch, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// workerScratch pools ForEachIndex's per-worker scratches, so a window's
+// fan-out reuses the previous window's buffers instead of regrowing
+// them. A worker that panics out of fn drops its scratch rather than
+// returning it.
+var workerScratch sync.Pool // *MatchScratch
+
+func getWorkerScratch() *MatchScratch {
+	if s, ok := workerScratch.Get().(*MatchScratch); ok {
+		return s
+	}
+	return &MatchScratch{}
 }

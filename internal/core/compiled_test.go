@@ -325,3 +325,30 @@ func TestCompiledEmptyAndNil(t *testing.T) {
 		}
 	}
 }
+
+// TestTopKIntoZeroAlloc pins the selection entry point's steady state:
+// with a warm scratch, TopKInto allocates nothing per candidate, dense
+// or indexed, under every measure.
+func TestTopKIntoZeroAlloc(t *testing.T) {
+	for _, measure := range allMeasures {
+		for _, mode := range []IndexMode{IndexOff, IndexOn} {
+			db, cands := trainedDB(t, measure)
+			db.SetIndexing(mode)
+			cdb := db.Compile()
+			var scratch MatchScratch
+			f := func() {
+				for _, k := range []int{1, 5} {
+					for _, c := range cands {
+						if got := cdb.TopKInto(c.Sig, k, &scratch); len(got) != min(k, cdb.Len()) {
+							t.Fatal("bad top-k row")
+						}
+					}
+				}
+			}
+			f() // warm the buffers
+			if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+				t.Fatalf("%v index=%v: TopKInto allocated %v times per run, want 0", measure, mode, allocs)
+			}
+		}
+	}
+}

@@ -283,8 +283,7 @@ func (e *Ensemble) TopK(c MultiCandidate, k int) []Score {
 }
 
 // SetIndexing forwards the index mode to every member database; see
-// Database.SetIndexing. The fused pruned search engages only when every
-// member ends up indexed.
+// Database.SetIndexing.
 func (e *Ensemble) SetIndexing(mode IndexMode) {
 	for _, db := range e.dbs {
 		db.SetIndexing(mode)

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,13 +44,7 @@ type EnsembleScratch struct {
 	member []MatchScratch
 	rows   [][]Score
 	fused  []Score
-
-	// Fused pruned-search state (TopK/Best over indexed members); the
-	// per-member candidate prep lives in the member scratches above.
-	fstamp []int32
-	fepoch int32
-	ftop   []topEntry
-	fout   []Score
+	sims   []float64 // fused similarities, written by fusedSims
 }
 
 // grow sizes the scratch for ce.
@@ -220,17 +214,42 @@ func (ce *CompiledEnsemble) MatchInto(c MultiCandidate, s *EnsembleScratch) (fus
 // using s only for the kernels' working buffers. c must carry one
 // signature per member.
 func (ce *CompiledEnsemble) matchRows(c MultiCandidate, s *EnsembleScratch, fused []Score, rows [][]Score) {
+	sims := ce.fusedSims(c, s)
 	for m, cdb := range ce.members {
-		cdb.matchRow(c.Sigs[m], &s.member[m], rows[m])
+		ms := s.member[m].sims
+		for r, addr := range cdb.addrs {
+			rows[m][r] = Score{Addr: addr, Sim: ms[r]}
+		}
 	}
-	div := float64(len(ce.members))
 	for i, addr := range ce.addrs {
+		fused[i] = Score{Addr: addr, Sim: sims[i]}
+	}
+}
+
+// fusedSims computes every member's similarity vector into its member
+// scratch (simsInto), then the fused vector into s.sims and returns it
+// (length Len(), valid until the scratch's next use): per fully-known
+// reference, the member similarities summed in member order and divided
+// by the member count. s must have been grown for ce and c must carry
+// one signature per member.
+func (ce *CompiledEnsemble) fusedSims(c MultiCandidate, s *EnsembleScratch) []float64 {
+	for m, cdb := range ce.members {
+		cdb.simsInto(c.Sigs[m], &s.member[m])
+	}
+	n := len(ce.addrs)
+	if cap(s.sims) < n {
+		s.sims = make([]float64, n)
+	}
+	sims := s.sims[:n]
+	div := float64(len(ce.members))
+	for i := range sims {
 		sum := 0.0
 		for m := range ce.members {
-			sum += rows[m][ce.rowIdx[m][i]].Sim
+			sum += s.member[m].sims[ce.rowIdx[m][i]]
 		}
-		fused[i] = Score{Addr: addr, Sim: sum / div}
+		sims[i] = sum / div
 	}
+	return sims
 }
 
 // getScratch pops a pooled scratch for the scratchless conveniences.
@@ -259,10 +278,9 @@ func (ce *CompiledEnsemble) Match(c MultiCandidate) (fused []Score, perParam [][
 }
 
 // Best returns the arg-max fused reference, with ok=false for an empty
-// (or mismatched) candidate or reference set. With every member indexed
-// this is a pruned top-1 search; the result is bit-identical to the
-// full fused scan (ties resolve to the earliest fused index, exactly as
-// the first-strict-max scan did).
+// (or mismatched) candidate or reference set: the fused top-1 selection,
+// so ties resolve to the earliest fused index, exactly as the first
+// strict maximum of the fused vector does.
 func (ce *CompiledEnsemble) Best(c MultiCandidate) (Score, bool) {
 	s := ce.getScratch()
 	defer ce.scratch.Put(s)
@@ -337,190 +355,29 @@ func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, each func(row func(
 	return fused, perParam
 }
 
-// ensureFused sizes the fused pruned-search buffers and opens a new
-// stamp epoch, mirroring MatchScratch.ensureSearch.
-func (s *EnsembleScratch) ensureFused(n int) {
-	if len(s.fstamp) < n {
-		s.fstamp = make([]int32, n)
-		s.fepoch = 0
-	}
-	if s.fepoch == math.MaxInt32 {
-		clear(s.fstamp)
-		s.fepoch = 0
-	}
-	s.fepoch++
-}
-
-// indexedAll reports whether every member snapshot carries a match
-// index — the precondition of the fused pruned search.
-func (ce *CompiledEnsemble) indexedAll() bool {
-	for _, m := range ce.members {
-		if m.idx == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// scoreFused computes the exact fused similarity of fully-known
-// reference i: each member's sparse exact kernel in member order, then
-// the same division MatchInto performs — bit-identical to fusing the
-// members' full vectors.
-func (ce *CompiledEnsemble) scoreFused(i int, s *EnsembleScratch, div float64) float64 {
-	sum := 0.0
-	for m, cdb := range ce.members {
-		sum += cdb.scoreRef(ce.rowIdx[m][i], s.member[m].search)
-	}
-	return sum / div
-}
-
-// boundFused upper-bounds scoreFused(i) by summing the members' coarse
-// bounds; exact in real arithmetic, callers compare through
-// inflateBound.
-func (ce *CompiledEnsemble) boundFused(i int, s *EnsembleScratch, div float64) float64 {
-	sum := 0.0
-	for m, cdb := range ce.members {
-		sum += cdb.coarseBound(ce.rowIdx[m][i], s.member[m].search)
-	}
-	return sum / div
-}
-
-// topKFused runs the pruned fused search over the fully-known reference
-// set: every member's term walk shares one fused budget (the fused
-// score of an unseen reference is at most the sum of all unopened term
-// bounds across members, divided by the member count), fused stamps
-// deduplicate across members, and survivors are scored exactly through
-// scoreFused. Requires indexedAll; results land in s.ftop ranked by the
-// exhaustive fused order.
-func (ce *CompiledEnsemble) topKFused(c MultiCandidate, k int, s *EnsembleScratch) []topEntry {
-	div := float64(len(ce.members))
-	s.ensureFused(len(ce.addrs))
-	for m, cdb := range ce.members {
-		st := s.member[m].ensureSearch(cdb.Len())
-		cdb.prepCandidate(c.Sigs[m], st)
-	}
-	s.ftop = s.ftop[:0]
-	stopped := false
-	visit := func(fi int32) {
-		if s.fstamp[fi] == s.fepoch {
-			return
-		}
-		s.fstamp[fi] = s.fepoch
-		if len(s.ftop) == k && !s.ftop[k-1].better(inflateBound(ce.boundFused(int(fi), s, div)), fi) {
-			return // coarse bound can't displace the k-th entry
-		}
-		s.ftop, _ = offerTop(s.ftop, k, ce.scoreFused(int(fi), s, div), fi)
-	}
-	if ce.Measure() == MeasureL1 {
-		// Class-overlap shortlist per member; no early stop (see
-		// topKIndexed). A reference fused from any member's shortlist is
-		// scored across all members at once.
-		for m, cdb := range ce.members {
-			st := s.member[m].search
-			for ci := range cdb.classes {
-				if !st.prepped[ci] {
-					continue
-				}
-				for _, r := range cdb.idx.classes[ci].classRefs {
-					if fi := ce.fusedOf[m][r]; fi >= 0 {
-						visit(fi)
-					}
-				}
-			}
-		}
-	} else {
-		remaining := 0.0
-		for m, cdb := range ce.members {
-			remaining += cdb.buildTerms(s.member[m].search)
-		}
-		for m, cdb := range ce.members {
-			st := s.member[m].search
-			for _, t := range st.terms {
-				if len(s.ftop) == k && !s.ftop[k-1].better(inflateBound(remaining/div), math.MaxInt32) {
-					stopped = true
-					break
-				}
-				cx := &cdb.idx.classes[t.class]
-				for _, r := range cx.postRef[cx.postStart[t.bin]:cx.postStart[t.bin+1]] {
-					if fi := ce.fusedOf[m][r]; fi >= 0 {
-						visit(fi)
-					}
-				}
-				remaining -= t.bound
-			}
-			if stopped {
-				break
-			}
-		}
-	}
-	if !stopped {
-		// Unseen fused references score exactly +0 in every member (no
-		// shared support anywhere), hence exactly 0 fused.
-		for fi := 0; fi < len(ce.addrs); fi++ {
-			if s.fstamp[fi] == s.fepoch {
-				continue
-			}
-			var ok bool
-			if s.ftop, ok = offerTop(s.ftop, k, 0, int32(fi)); !ok {
-				break
-			}
-		}
-	}
-	for m, cdb := range ce.members {
-		cdb.cleanupCandidate(s.member[m].search)
-	}
-	return s.ftop
-}
-
 // TopKInto returns the k best fused references (ties toward the earlier
 // fused index, as Best picks), writing into the scratch's buffers; the
-// result is only valid until the scratch's next use. When every member
-// is indexed the search is pruned, touching far fewer than Len()
-// references; scores, order and ties are bit-identical to ranking the
-// fused MatchInto vector either way. k is clamped to Len(); k <= 0 or a
-// member-count mismatch returns nil.
+// result is only valid until the scratch's next use. It selects from
+// the fused vector, so scores, order and ties are bit-identical to
+// ranking the fused MatchInto vector. k is clamped to Len(); k <= 0 or
+// a member-count mismatch returns nil. It performs no allocation once
+// the scratch has warmed up.
+//
+//fp:hotpath test=TestEnsembleTopKIntoZeroAlloc
 func (ce *CompiledEnsemble) TopKInto(c MultiCandidate, k int, s *EnsembleScratch) []Score {
-	if len(c.Sigs) != len(ce.members) {
-		return nil
-	}
-	n := len(ce.addrs)
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
+	k = min(k, len(ce.addrs))
+	if len(c.Sigs) != len(ce.members) || k <= 0 {
 		return nil
 	}
 	s.grow(ce)
-	var top []topEntry
-	if ce.indexedAll() {
-		top = ce.topKFused(c, k, s)
-	} else {
-		fused, _ := ce.MatchInto(c, s)
-		s.ftop = s.ftop[:0]
-		for i, sc := range fused {
-			s.ftop, _ = offerTop(s.ftop, k, sc.Sim, int32(i))
-		}
-		top = s.ftop
-	}
-	out := s.fout[:0]
-	for _, e := range top {
-		out = append(out, Score{Addr: ce.addrs[e.ref], Sim: e.sim})
-	}
-	s.fout = out
-	return out
+	return selectTop(s.fused[:k], ce.fusedSims(c, s), ce.addrs)
 }
 
 // TopK is the allocating convenience form of TopKInto.
 func (ce *CompiledEnsemble) TopK(c MultiCandidate, k int) []Score {
 	s := ce.getScratch()
 	defer ce.scratch.Put(s)
-	res := ce.TopKInto(c, k, s)
-	if res == nil {
-		return nil
-	}
-	out := make([]Score, len(res))
-	copy(out, res)
-	return out
+	return slices.Clone(ce.TopKInto(c, k, s))
 }
 
 // TopKAllScratch ranks a batch of multi-parameter candidates through
@@ -528,55 +385,44 @@ func (ce *CompiledEnsemble) TopK(c MultiCandidate, k int) []Score {
 // candidate in one backing allocation. Row i is exactly
 // TopK(cands[i], k); a mismatched candidate yields a nil row.
 func (ce *CompiledEnsemble) TopKAllScratch(cands []MultiCandidate, k int, s *EnsembleScratch) [][]Score {
-	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
-	kk := min(k, len(ce.addrs))
-	if kk <= 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*kk)
-	for i := range cands {
-		res := ce.TopKInto(cands[i], k, s)
-		if res == nil {
-			continue
+	return ce.topKAll(cands, k, func(row func(*EnsembleScratch, int)) {
+		for i := range cands {
+			row(s, i)
 		}
-		row := backing[i*kk : i*kk+len(res) : (i+1)*kk]
-		copy(row, res)
-		out[i] = row
-	}
-	return out
+	})
 }
 
 // TopKAllWorkers is TopKAllScratch fanned out across workers (0 selects
 // GOMAXPROCS, 1 forces the serial path); results are identical for
 // every worker count.
 func (ce *CompiledEnsemble) TopKAllWorkers(cands []MultiCandidate, k, workers int) [][]Score {
+	return ce.topKAll(cands, k, func(row func(*EnsembleScratch, int)) {
+		forEachEnsembleIndex(len(cands), workers, row)
+	})
+}
+
+// topKAll is matchAll for ranked fused rows: one backing of
+// min(k, Len()) scores per candidate, each row selected straight into
+// it.
+func (ce *CompiledEnsemble) topKAll(cands []MultiCandidate, k int, each func(row func(*EnsembleScratch, int))) [][]Score {
 	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
+	k = min(k, len(ce.addrs))
+	if len(cands) == 0 || k <= 0 {
 		return out
 	}
-	kk := min(k, len(ce.addrs))
-	if kk <= 0 {
-		return out
-	}
-	backing := make([]Score, len(cands)*kk)
-	forEachEnsembleIndex(len(cands), workers, func(s *EnsembleScratch, i int) {
-		res := ce.TopKInto(cands[i], k, s)
-		if res == nil {
+	backing := make([]Score, len(cands)*k)
+	each(func(s *EnsembleScratch, i int) {
+		if len(cands[i].Sigs) != len(ce.members) {
 			return
 		}
-		row := backing[i*kk : i*kk+len(res) : (i+1)*kk]
-		copy(row, res)
-		out[i] = row
+		s.grow(ce)
+		out[i] = selectTop(backing[i*k:(i+1)*k:(i+1)*k], ce.fusedSims(cands[i], s), ce.addrs)
 	})
 	return out
 }
 
 // IndexStats aggregates the members' index stats: Enabled only when
-// every member carries an index (the fused pruned search's
-// precondition), sizes summed across members.
+// every member carries an index, sizes summed across members.
 func (ce *CompiledEnsemble) IndexStats() IndexStats {
 	agg := IndexStats{Enabled: len(ce.members) > 0}
 	for _, m := range ce.members {
@@ -589,12 +435,7 @@ func (ce *CompiledEnsemble) IndexStats() IndexStats {
 		agg.Postings += st.Postings
 		agg.IndexBytes += st.IndexBytes
 		agg.DenseBytes += st.DenseBytes
-		if st.Classes > agg.Classes {
-			agg.Classes = st.Classes
-		}
-		if st.Coarse > agg.Coarse {
-			agg.Coarse = st.Coarse
-		}
+		agg.Classes = max(agg.Classes, st.Classes)
 	}
 	return agg
 }
@@ -612,10 +453,11 @@ func forEachEnsembleIndex(n, workers int, fn func(s *EnsembleScratch, i int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		var s EnsembleScratch
+		s := getEnsembleWorkerScratch()
 		for i := 0; i < n; i++ {
-			fn(&s, i)
+			fn(s, i)
 		}
+		ensembleWorkerScratch.Put(s)
 		return
 	}
 	var next atomic.Int64
@@ -624,15 +466,27 @@ func forEachEnsembleIndex(n, workers int, fn func(s *EnsembleScratch, i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var s EnsembleScratch
+			s := getEnsembleWorkerScratch()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
+					ensembleWorkerScratch.Put(s)
 					return
 				}
-				fn(&s, i)
+				fn(s, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// ensembleWorkerScratch pools forEachEnsembleIndex's per-worker
+// scratches, like workerScratch.
+var ensembleWorkerScratch sync.Pool // *EnsembleScratch
+
+func getEnsembleWorkerScratch() *EnsembleScratch {
+	if s, ok := ensembleWorkerScratch.Get().(*EnsembleScratch); ok {
+		return s
+	}
+	return &EnsembleScratch{}
 }

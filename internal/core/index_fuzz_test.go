@@ -1,19 +1,28 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dot11fp/internal/dot11"
 )
 
-// FuzzIndexedMatch is the differential test of the indexed full-vector
-// kernels: the fuzz bytes decode into a small reference set and two
+// FuzzIndexedMatch is the differential test of the compiled match
+// paths: the fuzz bytes decode into a small reference set and two
 // candidates, the set is compiled with IndexOn and with IndexOff, and
-// every full similarity vector — MatchInto, MatchAllScratch, and the
-// fused and per-member rows of CompiledEnsemble.MatchAllScratch — must
-// agree bit for bit under all four measures. One scratch serves every
-// call of an input, across databases of different sizes, so residue
-// left in the reusable buffers shows up as a mismatch.
+// under all four measures
+//
+//   - every full similarity vector — MatchInto, MatchAllScratch, and the
+//     fused and per-member rows of CompiledEnsemble.MatchAllScratch —
+//     agrees bit for bit between the two snapshots and with the naive
+//     per-pair Similarity loop (fused: the member mean);
+//   - every selection — TopKInto, Best and Above, single and fused —
+//     agrees bit for bit with the naive vector ranked stably (score
+//     descending, insertion index ascending) or filtered by >=.
+//
+// One scratch serves every call of an input, across databases of
+// different sizes, so residue left in the reusable buffers shows up as
+// a mismatch.
 //
 // Input layout (a byte past the end reads as 0):
 //
@@ -77,6 +86,12 @@ func FuzzIndexedMatch(f *testing.F) {
 	f.Add(input([]byte{3}, // planted ties: clones of the first reference
 		ref(a, b), clone, clone, ref(b, a),
 		cand(a, b), cand(b, b)))
+	f.Add(input([]byte{5}, // all-zero candidates: every reference ties at 0
+		ref(b, a), ref(a, b), clone, ref(b, b), ref(a, a), ref(b, a),
+		cand(allEmpty, allEmpty), cand([][]byte{absent, absent, absent, absent, cells(9, 3)}, [][]byte{empty})))
+	f.Add(input([]byte{4}, // ties at a positive score behind a zero-score block
+		ref([][]byte{cells(40, 1)}, b), ref([][]byte{cells(41, 1)}, b), ref(a, a), clone, clone,
+		cand(a, b), cand([][]byte{cells(3, 2, 40, 1)}, a)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
@@ -115,8 +130,27 @@ func FuzzIndexedMatch(f *testing.F) {
 		for _, measure := range allMeasures {
 			exh, idx := buildPair(t, measure, sigs[0])
 			for _, c := range single {
+				naive := make([]Score, n)
+				for r, ref := range sigs[0] {
+					naive[r] = Score{Addr: synthAddr(r), Sim: Similarity(c.Sig, ref, measure)}
+				}
 				want := append([]Score(nil), exh.MatchInto(c.Sig, &scratch)...)
+				sameScores(t, measure.String()+" naive MatchInto", naive, want)
 				sameScores(t, measure.String()+" MatchInto", want, idx.MatchInto(c.Sig, &scratch))
+				for _, cdb := range []*CompiledDB{exh, idx} {
+					label := fmt.Sprintf("%v index=%v", measure, cdb.IndexStats().Enabled)
+					checkSelect(t, label, naive, func(k int) []Score { return cdb.TopKInto(c.Sig, k, &scratch) },
+						func() (Score, bool) { return cdb.Best(c.Sig) })
+					for _, thr := range naive {
+						var above []Score
+						for _, sc := range naive {
+							if sc.Sim >= thr.Sim {
+								above = append(above, sc)
+							}
+						}
+						sameScores(t, label+" Above", above, cdb.Above(c.Sig, thr.Sim))
+					}
+				}
 			}
 			wantRows, gotRows := exh.MatchAllScratch(single, &scratch), idx.MatchAllScratch(single, &scratch)
 			for i := range wantRows {
@@ -132,8 +166,42 @@ func FuzzIndexedMatch(f *testing.F) {
 					sameScores(t, measure.String()+" member", wantP[i][m], gotP[i][m])
 				}
 			}
+			for _, c := range cands {
+				naive := make([]Score, n)
+				for r := range naive {
+					sum := 0.0
+					for m := range params {
+						sum += Similarity(c.Sigs[m], sigs[m][r], measure)
+					}
+					naive[r] = Score{Addr: synthAddr(r), Sim: sum / float64(len(params))}
+				}
+				for _, ens := range []*Ensemble{ee, ei} {
+					ce := ens.Compile()
+					label := fmt.Sprintf("%v fused index=%v", measure, ce.IndexStats().Enabled)
+					fused, _ := ce.MatchInto(c, &es)
+					sameScores(t, label+" naive MatchInto", naive, fused)
+					checkSelect(t, label, naive, func(k int) []Score { return ce.TopKInto(c, k, &es) },
+						func() (Score, bool) { return ce.Best(c) })
+				}
+			}
 		}
 	})
+}
+
+// checkSelect pins a TopKInto/Best pair against the stable ranking of
+// the naive similarity vector: every k from 1 past the reference count,
+// and Best as the top-1 entry with ok reporting a non-negative score.
+func checkSelect(t *testing.T, label string, naive []Score, topK func(k int) []Score, best func() (Score, bool)) {
+	t.Helper()
+	for k := 1; k <= len(naive)+1; k++ {
+		sameScores(t, fmt.Sprintf("%s TopK(%d)", label, k), exhaustiveTopK(naive, k), topK(k))
+	}
+	want := exhaustiveTopK(naive, 1)[0]
+	got, ok := best()
+	sameScores(t, label+" Best", []Score{want}, []Score{got})
+	if ok != (want.Sim >= 0) {
+		t.Fatalf("%s Best: ok = %v for score %v", label, ok, want.Sim)
+	}
 }
 
 // fuzzRefs caps FuzzIndexedMatch's reference count.

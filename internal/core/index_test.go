@@ -160,10 +160,9 @@ func TestIndexBitIdentical(t *testing.T) {
 
 // TestIndexAdversarialCommonBin hides the true best match behind the
 // candidate's most common bin: every reference shares bin 0 (a huge
-// posting, walked last), and only the winner's entire mass sits there.
-// A prefilter with unsound bounds would stop after the rare bins and
-// return the decoy; the MaxScore walk must keep bin 0 alive because its
-// term bound stays above the decoy's score.
+// posting), and only the winner's entire mass sits there. A search that
+// stopped after the rare bins would return the decoy sharing the rare
+// bin 63; selection from the full scatter must not.
 func TestIndexAdversarialCommonBin(t *testing.T) {
 	for _, measure := range allMeasures {
 		spec := BinSpec{Width: synthWidth, Bins: 64}
@@ -209,7 +208,7 @@ func TestIndexAdversarialCommonBin(t *testing.T) {
 // TestIndexDisjointL1 pins the subtle L1 case: a reference sharing a
 // class but no bins has a similarity near — but not exactly — zero
 // (frequency rounding), which bin-overlap shortlists would silently
-// replace with 0. The class-overlap walk must reproduce it bit for bit.
+// replace with 0. The class-overlap merge must reproduce it bit for bit.
 func TestIndexDisjointL1(t *testing.T) {
 	spec := BinSpec{Width: synthWidth, Bins: 64}
 	sigs := make([]*Signature, 280)

@@ -35,6 +35,16 @@ import (
 	"dot11fp/internal/core"
 )
 
+const (
+	// DefaultTopK is the number of ranked references a verdict event
+	// carries when Options.TopK / ShardedOptions.TopK is zero.
+	DefaultTopK = 5
+	// FullVector, as Options.TopK / ShardedOptions.TopK, makes verdict
+	// events carry the full similarity vector (and, in ensemble mode,
+	// the per-member vectors) instead of the top k.
+	FullVector = -1
+)
+
 // Options parameterises an Engine.
 type Options struct {
 	// Window is the detection window size. Zero selects the paper's
@@ -51,15 +61,16 @@ type Options struct {
 	// 0 selects GOMAXPROCS, 1 forces the serial path. Results are
 	// identical for every worker count.
 	Workers int
-	// TopK, when positive, trims the per-candidate verdict events to the
-	// k best-matching references (ranked, ties toward the earlier
-	// reference) instead of the full similarity vector. Verdicts and
-	// Best are bit-identical to the full-vector run — the ranked row's
-	// first entry is exactly the full scan's arg-max — while the match
-	// cost becomes sublinear in the reference count once the database
-	// index is enabled (see core.IndexMode). In ensemble mode the events'
-	// ParamScores are omitted (the fused pruned search never materialises
-	// the per-member vectors). 0 keeps the full vector.
+	// TopK bounds the per-candidate verdict events to the k
+	// best-matching references (ranked, ties toward the earlier
+	// reference); 0 selects DefaultTopK. FullVector (any negative value)
+	// carries the full similarity vector instead, plus the per-member
+	// vectors (ParamScores) in ensemble mode; bounded events omit
+	// ParamScores. Verdicts and Best are bit-identical either way: the
+	// ranked row is a selection from the same vector, and its first
+	// entry is exactly the full vector's arg-max. What bounding saves is
+	// the vector's copy into every event and everything downstream of it
+	// (sinks, the server's feed and sender cache).
 	TopK int
 	// Limits bounds the per-window sender state (see core.SenderLimits).
 	// The zero value is unbounded — bit-identical to the batch pipeline;
@@ -186,6 +197,9 @@ func New(cfg core.Config, db *core.CompiledDB, opts Options) (*Engine, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
 	}
+	if opts.TopK == 0 {
+		opts.TopK = DefaultTopK
+	}
 	e := &Engine{opts: opts}
 	e.acc = core.NewWindowAccumulator(opts.Window, cfg, e.handleWindow)
 	e.acc.SetLimits(opts.Limits)
@@ -213,12 +227,15 @@ func New(cfg core.Config, db *core.CompiledDB, opts Options) (*Engine, error) {
 // (which may be nil to run extraction-only until SetEnsembleDB installs
 // one). Member configurations must carry distinct parameters; a
 // non-nil edb must have been compiled from the same parameters and bin
-// shapes. Verdict events carry the fused score vector plus the
-// per-member vectors (Scores / ParamScores) and per-member signatures
-// (Sigs).
+// shapes. Verdict events carry the top k of the fused score vector
+// (Scores; with FullVector the whole fused vector plus the per-member
+// vectors in ParamScores) and the per-member signatures (Sigs).
 func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (*Engine, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
+	}
+	if opts.TopK == 0 {
+		opts.TopK = DefaultTopK
 	}
 	e := &Engine{opts: opts, multi: true}
 	acc, err := core.NewEnsembleAccumulator(opts.Window, cfgs, e.handleWindow)

@@ -99,7 +99,7 @@ func runEngine(t *testing.T, tr *capture.Trace, db *core.CompiledDB, cfg core.Co
 			got.closed = append(got.closed, ev)
 		}
 	})
-	eng, err := engine.New(cfg, db, engine.Options{Window: window, Workers: workers, Sink: sink})
+	eng, err := engine.New(cfg, db, engine.Options{Window: window, Workers: workers, TopK: engine.FullVector, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestEngineSetDBHotSwap(t *testing.T) {
 			}
 		}
 	})
-	eng, err := engine.New(cfg, nil, engine.Options{Window: 2 * time.Minute, Sink: sink})
+	eng, err := engine.New(cfg, nil, engine.Options{Window: 2 * time.Minute, TopK: engine.FullVector, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

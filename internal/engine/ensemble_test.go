@@ -153,7 +153,7 @@ func TestEnsembleEngineBitIdenticalToBatch(t *testing.T) {
 		}
 
 		serial := &multiCollected{}
-		eng, err := engine.NewEnsemble(cfgs, ce, engine.Options{Window: window, Sink: multiSink(serial)})
+		eng, err := engine.NewEnsemble(cfgs, ce, engine.Options{Window: window, TopK: engine.FullVector, Sink: multiSink(serial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestEnsembleEngineBitIdenticalToBatch(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			got := &multiCollected{}
 			sh, err := engine.NewShardedEnsemble(cfgs, ce, engine.ShardedOptions{
-				Window: window, Shards: shards, Sink: multiSink(got),
+				Window: window, Shards: shards, TopK: engine.FullVector, Sink: multiSink(got),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -232,7 +232,7 @@ func TestEnsembleEngineThresholdAndHotSwap(t *testing.T) {
 			}
 		}
 	})
-	eng, err := engine.NewEnsemble(cfgs, nil, engine.Options{Window: 2 * time.Minute, Sink: sink})
+	eng, err := engine.NewEnsemble(cfgs, nil, engine.Options{Window: 2 * time.Minute, TopK: engine.FullVector, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,17 +51,20 @@ type CandidateMatched struct {
 	// ensemble engine, aligned with the ensemble's Params (nil on
 	// single-parameter engines).
 	Sigs []*core.Signature
-	// Scores is the full similarity vector (Algorithm 1), in the
-	// reference database's insertion order. On an ensemble engine it is
-	// the fused vector — the mean of the member similarities — over the
-	// fully-known reference set.
+	// Scores is the top k of the similarity vector (Algorithm 1), ranked
+	// by score with ties toward the earlier reference (k is the engine's
+	// TopK, DefaultTopK unless set). With TopK = FullVector it is the
+	// whole vector in the reference database's insertion order. On an
+	// ensemble engine the vector is the fused one — the mean of the
+	// member similarities — over the fully-known reference set.
 	Scores []core.Score
 	// ParamScores are the per-member similarity vectors behind a fused
 	// Scores, aligned with the ensemble's Params; each member's vector
-	// runs over that member's own reference order (nil on
-	// single-parameter engines).
+	// runs over that member's own reference order. Only carried with
+	// TopK = FullVector on an ensemble engine; nil otherwise.
 	ParamScores [][]core.Score
-	// Best is the arg-max entry of Scores.
+	// Best is the arg-max entry of the similarity vector: Scores[0] when
+	// bounded.
 	Best core.Score
 }
 
@@ -82,11 +85,12 @@ type UnknownDevice struct {
 	// CandidateMatched (Sig single-parameter, Sigs ensemble).
 	Sig  *core.Signature
 	Sigs []*core.Signature
-	// Scores is the similarity vector (fused on an ensemble engine);
-	// ParamScores the per-member vectors behind it (ensemble only).
+	// Scores and ParamScores are the top k (or, with FullVector, the
+	// whole vectors), exactly as on CandidateMatched.
 	Scores      []core.Score
 	ParamScores [][]core.Score
-	// Best is the arg-max entry of Scores when HasBest is true.
+	// Best is the arg-max entry of the similarity vector when HasBest
+	// is true.
 	Best    core.Score
 	HasBest bool
 }

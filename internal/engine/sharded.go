@@ -56,11 +56,10 @@ type ShardedOptions struct {
 	// Backpressure picks the full-queue policy: Block (default,
 	// lossless) or Drop (bounded latency, counted loss).
 	Backpressure Backpressure
-	// TopK trims verdict events to the k best references, exactly like
-	// Options.TopK: verdicts and Best stay bit-identical to the full
-	// vector at every shard count, per-window match cost becomes
-	// sublinear with the index enabled, and ensemble ParamScores are
-	// omitted. 0 keeps the full vector.
+	// TopK bounds verdict events to the k best references exactly like
+	// Options.TopK: 0 selects DefaultTopK, FullVector carries the full
+	// vectors, and verdicts and Best are bit-identical either way, at
+	// every shard count.
 	TopK int
 	// Limits bounds each shard's sender state (see core.SenderLimits).
 	// The cap applies per shard, so total signature memory is
@@ -298,6 +297,9 @@ func NewShardedEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Sha
 func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
+	}
+	if opts.TopK == 0 {
+		opts.TopK = DefaultTopK
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = runtime.GOMAXPROCS(0)

@@ -34,9 +34,10 @@ func rankScores(scores []core.Score, k int) []core.Score {
 }
 
 // TestEngineTopKVerdictsIdentical pins Options.TopK: verdict types,
-// order, Best and window summaries are bit-identical to the full-vector
+// order, Best and window summaries are bit-identical to the FullVector
 // run — only the events' Scores shrink to the ranked top-k — on both
-// the serial and the sharded engine, with the match index on.
+// the serial and the sharded engine, with the match index on, for an
+// explicit k and for the zero value's DefaultTopK.
 func TestEngineTopKVerdictsIdentical(t *testing.T) {
 	t.Parallel()
 	tr := buildScenario(t, false)
@@ -51,8 +52,6 @@ func TestEngineTopKVerdictsIdentical(t *testing.T) {
 	if !cdb.IndexStats().Enabled {
 		t.Fatal("index not built with IndexOn")
 	}
-	const k = 3
-
 	full := runEngine(t, valid, cdb, cfg, 2*time.Minute, 0)
 
 	run := func(topk int, sharded bool) *collected {
@@ -104,8 +103,12 @@ func TestEngineTopKVerdictsIdentical(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
 		sharded bool
-	}{{"serial", false}, {"sharded", true}} {
-		got := run(k, mode.sharded)
+		topk, k int
+	}{
+		{"serial", false, 3, 3}, {"sharded", true, 3, 3},
+		{"serial/default", false, 0, engine.DefaultTopK}, {"sharded/default", true, 0, engine.DefaultTopK},
+	} {
+		got, k := run(mode.topk, mode.sharded), mode.k
 		if len(got.cands) != len(full.cands) {
 			t.Fatalf("%s: %d verdicts, want %d", mode.name, len(got.cands), len(full.cands))
 		}

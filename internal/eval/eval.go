@@ -99,8 +99,9 @@ func Run(tr *capture.Trace, spec Spec) (*Result, error) {
 	// window's candidates arrive as events carrying their similarity
 	// vectors (one extraction and matching code path with live
 	// monitoring; scores are bit-identical to matching the batch
-	// CandidatesIn output). Both event kinds carry the full vector, so
-	// the engine's acceptance threshold is irrelevant here.
+	// CandidatesIn output). The similarity test needs every score, so
+	// the engine runs with FullVector; both event kinds carry it, so the
+	// engine's acceptance threshold is irrelevant here.
 	var states []candidate
 	collect := engine.SinkFunc(func(ev engine.Event) {
 		switch ev := ev.(type) {
@@ -113,6 +114,7 @@ func Run(tr *capture.Trace, spec Spec) (*Result, error) {
 	eng, err := engine.New(db.Config(), db.Compile(), engine.Options{
 		Window:  spec.Window,
 		Workers: spec.Workers,
+		TopK:    engine.FullVector,
 		Sink:    collect,
 	})
 	if err != nil {

@@ -18,6 +18,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -364,9 +365,9 @@ func (r *Registry) List() []*Site {
 }
 
 // SenderVerdict is the verdict cache's record of one sender: its most
-// recent per-window verdict, scores included. Scores follow the
-// reference database's insertion order at verdict time (fused, on an
-// ensemble site).
+// recent per-window verdict, scores included. Scores are the engine's
+// top k, ranked (fused, on an ensemble site); an engine run with
+// FullVector caches the whole vector in reference insertion order.
 type SenderVerdict struct {
 	Addr    string `json:"addr"`
 	Window  int    `json:"window"`
@@ -377,8 +378,8 @@ type SenderVerdict struct {
 	BestSim      float64 `json:"best_sim"`
 	HasBest      bool    `json:"has_best"`
 	Observations uint64  `json:"observations"`
-	// Scores is the full similarity vector of the verdict (omitted in
-	// the senders listing, populated on the single-sender endpoint).
+	// Scores are the verdict's top-k references (omitted in the senders
+	// listing, populated on the single-sender endpoint).
 	Scores []SenderScore `json:"scores,omitempty"`
 }
 
@@ -400,7 +401,10 @@ type recorder struct {
 }
 
 // verdictEntry retains the verdict event's handed-off data (events are
-// owned by the receiver; the engine never reuses the score rows).
+// owned by the receiver; the engine never reuses the score rows). The
+// scores are a copy: an event's row is a subslice of its window's
+// shared backing, so keeping the row itself would pin every other
+// candidate's row of that window for as long as the entry lives.
 type verdictEntry struct {
 	window  int
 	matched bool
@@ -421,13 +425,13 @@ func (r *recorder) observe(ev dot11fp.Event) {
 		r.record(ev.Addr, &verdictEntry{
 			window: ev.Window, matched: true,
 			best: ev.Best, hasBest: true,
-			obs: ev.Observations(), scores: ev.Scores,
+			obs: ev.Observations(), scores: slices.Clone(ev.Scores),
 		})
 	case dot11fp.UnknownDevice:
 		r.record(ev.Addr, &verdictEntry{
 			window: ev.Window,
 			best:   ev.Best, hasBest: ev.HasBest,
-			obs: ev.Observations(), scores: ev.Scores,
+			obs: ev.Observations(), scores: slices.Clone(ev.Scores),
 		})
 	case dot11fp.WindowClosed:
 		r.mu.Lock()

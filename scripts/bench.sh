@@ -9,9 +9,10 @@
 # smoke uses BENCHTIME=1x for a fast structural pass whose JSON is
 # uploaded as an artifact — numbers from 1x runs are not comparable).
 #
-# SCALE_N selects the BenchmarkMatchAllScale reference counts (default
-# "1000|10000"; the 100000 fixture's raw signatures need ~13 GB to
-# build, so the full curve is an opt-in: SCALE_N='1000|10000|100000').
+# SCALE_N selects the BenchmarkMatchAllScale synthetic reference counts
+# (default "1000|10000"; the 100000 fixture's raw signatures need ~13 GB
+# to build, so the full curve is an opt-in: SCALE_N='1000|10000|100000').
+# The simulated-fleet fixtures (N=1.5k and N=10k) always run.
 #
 # COUNT repeats every benchmark (go test -count; default 1). With
 # COUNT > 1 each benchmark's ns_per_op, bytes_per_op and allocs_per_op
@@ -39,9 +40,9 @@ go test -run '^$' \
   -benchmem -benchtime="$benchtime" -count="$count" . ./internal/server | tee "$raw"
 
 # The indexed-matching scale curve; its own invocation so the N filter
-# (an anchored second path element) cannot touch other benchmarks' subs.
+# (an anchored third path element) cannot touch other benchmarks' subs.
 go test -run '^$' \
-  -bench "BenchmarkMatchAllScale/N=(${scale_n})\$" \
+  -bench "BenchmarkMatchAllScale/(synth|fleet)/N=(${scale_n}|1.5k|10k)\$" \
   -benchmem -benchtime="$benchtime" -count="$count" ./internal/core | tee -a "$raw"
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
