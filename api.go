@@ -37,9 +37,6 @@ type (
 	// CompiledDB is an immutable matching-optimised database snapshot
 	// with zero-allocation and batched entry points.
 	CompiledDB = core.CompiledDB
-	// IndexMode selects whether Compile builds the sublinear match
-	// index (see the doc.go "Indexed matching" section).
-	IndexMode = core.IndexMode
 	// IndexStats describes a compiled snapshot's match index, as
 	// surfaced by engine stats and the /metrics endpoint.
 	IndexStats = core.IndexStats
@@ -88,21 +85,6 @@ const (
 	MeasureBhattacharyya = core.MeasureBhattacharyya
 	MeasureL1            = core.MeasureL1
 )
-
-// Match-index modes for Database.SetIndexing / Ensemble.SetIndexing.
-const (
-	// IndexAuto builds the index once the reference set is large
-	// enough for the sparse scatter to beat the dense rows (the
-	// default).
-	IndexAuto = core.IndexAuto
-	// IndexOn always builds the index.
-	IndexOn = core.IndexOn
-	// IndexOff never builds it — the exhaustive dense baseline.
-	IndexOff = core.IndexOff
-)
-
-// ParseIndexMode resolves "auto", "on" or "off" — the -index cmd flag.
-func ParseIndexMode(s string) (IndexMode, error) { return core.ParseIndexMode(s) }
 
 // DefaultWindow is the paper's 5-minute detection window.
 const DefaultWindow = core.DefaultWindow

@@ -64,7 +64,7 @@
 //	             [-measure cosine]
 //	             [-enroll] [-enroll-windows 1] [-save ref.fpdb]
 //	             [-checkpoint-every 0] [-source-retry 0]
-//	             [-window 5m] [-threshold 0] [-index auto] [-shards 0]
+//	             [-window 5m] [-threshold 0] [-shards 0]
 //	             [-queue 8192] [-drop] [-max-senders 0] [-idle-evict 0] [-merge time]
 //	             [-listen :9077] [-pprof] [-site default] [-enroll-confirm]
 //	             [-rebase] [-cluster] [-stats 10s] [-v] input.pcap [input2.pcap ...]
@@ -103,7 +103,6 @@ func main() {
 	drop := flag.Bool("drop", false, "drop observations instead of blocking when a shard queue is full")
 	maxSenders := flag.Int("max-senders", 0, "per-shard cap on tracked senders (0 = unbounded)")
 	idleEvict := flag.Duration("idle-evict", 0, "evict senders idle for this long in record time (0 = never)")
-	indexFlag := flag.String("index", "auto", "match index: auto (build for large reference sets), on, or off (exhaustive dense matching)")
 	mergeFlag := flag.String("merge", "time", "source interleaving: time (deterministic) or arrival (live feeds)")
 	rebase := flag.Bool("rebase", false, "shift each source's clock so its first record lands at offset zero")
 	sourceRetry := flag.Duration("source-retry", 0, "reopen failed sources, starting at this backoff and doubling (0 = a failed source retires)")
@@ -131,10 +130,6 @@ func main() {
 		fatal(fmt.Errorf("-pprof needs -listen"))
 	}
 	mode, err := cmdutil.ParseMergeMode(*mergeFlag)
-	if err != nil {
-		fatal(err)
-	}
-	indexMode, err := dot11fp.ParseIndexMode(*indexFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -291,15 +286,9 @@ func main() {
 			enrollFlags.Decide = site.Gate().Decide
 		}
 	}
-	refs.SetIndexing(indexMode)
 	trainer, cdb, cedb, err := enrollFlags.EnrollOrCompile(cfgs, measure, refs) // when enrolling, the trainer owns the references
 	if err != nil {
 		fatal(err)
-	}
-	if trainer != nil {
-		// Cold-start trainers build their own databases; hand them the
-		// mode the seed could not carry in.
-		trainer.SetIndexing(indexMode)
 	}
 
 	policy := dot11fp.BackpressureBlock

@@ -29,7 +29,7 @@
 //
 //	livemon [-db ref.fpdb | -ref 20m] [-param iat | -param rate,size,iat]
 //	        [-measure cosine] [-enroll] [-window 5m] [-threshold 0]
-//	        [-index auto] [-shards 1] [-stats 0] [-listen :9077]
+//	        [-shards 1] [-stats 0] [-listen :9077]
 //	        [-site default] [-cluster] [-v] [capture.pcap | -]
 package main
 
@@ -56,17 +56,12 @@ func main() {
 	enroll := flag.Bool("enroll", false, "enroll unknown senders into the references while monitoring")
 	shards := flag.Int("shards", 1, "engine shards: 1 = serial engine, 0 = GOMAXPROCS, N = N shards")
 	statsEvery := flag.Duration("stats", 0, "periodic stats line interval on stderr (0 = off)")
-	indexFlag := flag.String("index", "auto", "match index: auto (build for large reference sets), on, or off (exhaustive dense matching)")
 	cluster := flag.Bool("cluster", false, "merge MAC-randomizing senders by probe content before attribution (training and monitoring)")
 	verbose := flag.Bool("v", false, "also print below-minimum drops and enrollment progress")
 	listen := flag.String("listen", "", "serve the HTTP API, SSE verdict feed and /metrics on this address (trusted networks only; empty = off)")
 	siteName := flag.String("site", "default", "site name under /api/v1/sites/{site} with -listen")
 	flag.Parse()
 
-	indexMode, err := dot11fp.ParseIndexMode(*indexFlag)
-	if err != nil {
-		fatal(err)
-	}
 	in := os.Stdin
 	if name := flag.Arg(0); name != "" && name != "-" {
 		f, err := os.Open(name)
@@ -96,15 +91,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	refs.SetIndexing(indexMode)
 	trainer, cdb, cedb, err := enrollFlags.EnrollOrCompile(cfgs, measure, refs) // when enrolling, the trainer owns the references
 	if err != nil {
 		fatal(err)
-	}
-	if trainer != nil {
-		// Cold-start trainers build their own databases; hand them the
-		// mode the seed could not carry in.
-		trainer.SetIndexing(indexMode)
 	}
 
 	// The serial engine and the sharded engine share the push contract,

@@ -411,29 +411,24 @@
 //
 // # Indexed matching
 //
-// The dense compiled kernels are linear in the reference count with a
-// large constant: every candidate touches every bin of every reference
-// row. Compile therefore builds a sparse match index once the reference
-// set is large (IndexAuto, 256 references) — per-class inverted
-// postings over the non-zero signature bins, plus CSR rows — and skips
-// the dense matrices' memory when it does. IndexOn forces the index,
-// IndexOff keeps the dense baseline (Database.SetIndexing /
-// Ensemble.SetIndexing, or -index auto|on|off on livemon and
-// fingerprintd; trainers forward the mode to their working references
-// via Trainer.SetIndexing).
+// Signature histograms are sparse: a one-minute candidate fills a few
+// of its 512 inter-arrival bins, a reference a few dozen. Compile
+// therefore stores every reference set, at every size, as a sparse
+// match index — per-class inverted postings over the non-zero signature
+// bins, plus CSR rows — and never builds dense N×bins matrices.
 //
-// There is one match kernel, and everything reads its output. Over the
-// index it is a postings scatter: per class, only the postings of the
-// candidate's own non-zero bins are walked, each adding its term into a
-// per-reference accumulator kept in the MatchScratch, and each touched
-// reference's sum is then weighted and normalised exactly as the dense
-// kernel does. It is bit-identical to the dense rows and to the naive
-// per-pair Similarity loop because every reference still sums the same
-// non-zero terms in the same ascending-bin order; the terms the scatter
-// never visits are exact +0 adds in the dense loop (bins the candidate
-// lacks), which cannot change a sum of non-negative terms. L1, whose
-// disjoint terms are not zero, keeps a per-reference union merge. The
-// kernel's similarities feed three consumers:
+// There is one match kernel, and everything reads its output: a
+// postings scatter. Per class, only the postings of the candidate's own
+// non-zero bins are walked, each adding its term into a per-reference
+// accumulator kept in the MatchScratch, and each touched reference's
+// sum is then weighted and normalised as the naive loop does. It is
+// bit-identical to the naive per-pair Similarity loop because every
+// reference still sums the same non-zero terms in the same
+// ascending-bin order; the terms the scatter never visits are exact +0
+// adds in a full-row sum (bins the candidate lacks), which cannot
+// change a sum of non-negative terms. L1, whose disjoint terms are not
+// zero, keeps a per-reference union merge. The kernel's similarities
+// feed three consumers:
 //
 //   - MatchInto and the batch forms (MatchAllScratch, MatchAllWorkers)
 //     copy them out once, as the full vector, straight into the backing
@@ -448,8 +443,8 @@
 // out or selects from it the same way. Selection only ranks the scores
 // the full vector holds, so every TopK, Best and Above result is
 // bit-identical to ranking or filtering it, by construction;
-// FuzzIndexedMatch pins all of them — single and fused, dense and
-// indexed, all four measures, planted ties — against the naive loop.
+// FuzzIndexedMatch pins all of them — single and fused, all four
+// measures, planted ties — against the naive loop.
 //
 // What a verdict needs is the selection, not the vector: the
 // identification test keeps the closest reference and an operator the

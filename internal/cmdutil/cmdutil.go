@@ -79,19 +79,6 @@ func (r References) Configs() []dot11fp.Config {
 	return nil
 }
 
-// SetIndexing applies the -index mode to the reference set — database
-// or every ensemble member alike; no-op on a cold start. Call it
-// before compiling (EnrollOrCompile): the mode is a property of the
-// mutable references, and compiled snapshots freeze it in.
-func (r References) SetIndexing(mode dot11fp.IndexMode) {
-	switch {
-	case r.DB != nil:
-		r.DB.SetIndexing(mode)
-	case r.Ens != nil:
-		r.Ens.SetIndexing(mode)
-	}
-}
-
 // Measure returns the similarity measure.
 func (r References) Measure() dot11fp.Measure {
 	switch {

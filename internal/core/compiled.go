@@ -7,18 +7,17 @@ import (
 	"sync/atomic"
 
 	"dot11fp/internal/dot11"
-	"dot11fp/internal/histogram"
 )
 
 // CompiledDB is an immutable, matching-optimised snapshot of a
 // Database. Compilation freezes every reference signature into
-// contiguous per-class [N×bins]float64 frequency matrices with the
-// per-reference weights and Euclidean norms precomputed, so matching a
-// candidate costs one frequency conversion per candidate class plus one
-// dot product per (class, reference) pair — no allocation, no repeated
+// per-class sparse rows and an inverted index over their non-zero bins
+// (index.go), with the per-reference weights and Euclidean norms
+// precomputed, so matching a candidate walks only the postings of the
+// candidate's own non-zero bins — no allocation, no repeated
 // normalisation of immutable reference data. Results are bit-identical
-// to the naive per-pair Similarity path: the same values flow through
-// the same floating-point operations in the same order.
+// to the naive per-pair Similarity path: the same non-zero terms flow
+// through the same floating-point operations in the same order.
 //
 // A CompiledDB is safe for concurrent use; each goroutine needs its own
 // MatchScratch for the zero-allocation entry points.
@@ -30,23 +29,31 @@ type CompiledDB struct {
 	totals  []uint64           // per reference: observation total at compile time
 	bins    int
 	classes [dot11.NumClasses]compiledClass
-	idx     *matchIndex // sparse match index (see index.go); nil on the dense path
+	stats   IndexStats
 
 	scratch sync.Pool // *MatchScratch, for the scratchless conveniences
 }
 
-// compiledClass is the frozen per-frame-class reference data. For
-// cosine — scale-invariant, so it can skip the frequency conversion —
-// rows hold the raw counts pre-converted to float64 (exact: counts are
-// far below 2^53), keeping the inner loop a pure float dot product
-// while staying bit-identical to the count-domain CosineCounts kernel.
-// The other measures freeze frequency rows.
+// compiledClass is one frame class's frozen reference data. A class no
+// reference carries is the zero value (nil classRefs). Row values are
+// float64 counts for cosine (exact: counts are far below 2^53) and
+// frequencies for the other measures.
 type compiledClass struct {
-	present bool      // at least one reference carries this class
-	has     []bool    // per reference: class present in its signature
-	rows    []float64 // N×bins row-major matrix: float64 counts (cosine) or frequencies; nil when indexed
-	norms   []float64 // per reference: Euclidean norm of its count row (cosine only)
 	weights []float64 // per reference: weight^ftype (Definition 1)
+	norms   []float64 // per reference: Euclidean norm of its count row (cosine only)
+	// CSR of the class's non-zero reference cells, ascending bin order
+	// within each row.
+	rowStart []int32 // len n+1
+	rowBin   []int32
+	rowVal   []float64
+	// Inverted index: references (ascending) per fine bin, with each
+	// posting's row value alongside for the scatter.
+	postStart []int32 // len bins+1
+	postRef   []int32
+	postVal   []float64
+	// classRefs lists the references carrying the class, ascending —
+	// the references the L1 union merge visits; nil when none does.
+	classRefs []int32
 }
 
 // MatchScratch holds the reusable buffers of the zero-allocation match
@@ -54,11 +61,11 @@ type compiledClass struct {
 // are retained across calls. A scratch must not be shared between
 // concurrent MatchInto calls.
 type MatchScratch struct {
-	freqs  []float64
+	freqs  []float64 // candidate frequencies for the L1 merge
 	scores []Score
 	sims   []float64 // per-reference similarities, written by simsInto
-	l1nz   []int32   // candidate support scratch for the indexed L1 kernel
-	acc    []float64 // per-class partial sums of the indexed scatter
+	l1nz   []int32   // candidate support for the L1 merge
+	acc    []float64 // per-class partial sums of the scatter
 }
 
 // Compile freezes the database's current references into a CompiledDB.
@@ -90,15 +97,9 @@ func (c *CompiledDB) fresh(db *Database) bool {
 	return true
 }
 
-// compile builds the frozen matrices from the live reference map. When
-// the database's IndexMode selects indexing (explicitly, or automatically
-// at indexAutoMin references), the dense row matrices are not built at
-// all: the sparse index carries the same values and the indexed kernels
-// reproduce the dense results bit for bit at a fraction of the memory.
+// compile builds the frozen snapshot from the live reference map.
 func compile(db *Database) *CompiledDB {
 	n := len(db.order)
-	cosine := db.measure.isCosine()
-	indexed := db.indexing == IndexOn || (db.indexing == IndexAuto && n >= indexAutoMin)
 	c := &CompiledDB{
 		cfg:     db.cfg,
 		measure: db.measure,
@@ -106,6 +107,7 @@ func compile(db *Database) *CompiledDB {
 		index:   make(map[dot11.Addr]int, n),
 		totals:  make([]uint64, n),
 		bins:    db.cfg.Bins.Bins,
+		stats:   IndexStats{Enabled: true, References: n},
 	}
 	copy(c.addrs, db.order)
 	for r, addr := range c.addrs {
@@ -113,45 +115,7 @@ func compile(db *Database) *CompiledDB {
 		c.totals[r] = db.refs[addr].total
 	}
 	for ci := range c.classes {
-		class := dot11.Class(ci)
-		cc := &c.classes[ci]
-		for r, addr := range db.order {
-			sig := db.refs[addr]
-			h := sig.Hist(class)
-			if h == nil {
-				continue
-			}
-			if !cc.present {
-				cc.present = true
-				cc.has = make([]bool, n)
-				cc.weights = make([]float64, n)
-				if !indexed {
-					cc.rows = make([]float64, n*c.bins)
-				}
-				if cosine {
-					cc.norms = make([]float64, n)
-				}
-			}
-			cc.has[r] = true
-			cc.weights[r] = sig.Weight(class)
-			if cosine {
-				cc.norms[r] = histogram.CountNorm(h.CountsView())
-			}
-			if indexed {
-				continue
-			}
-			row := cc.rows[r*c.bins : (r+1)*c.bins]
-			if cosine {
-				for i, v := range h.CountsView() {
-					row[i] = float64(v)
-				}
-			} else {
-				h.AppendFreqs(row[:0:c.bins])
-			}
-		}
-	}
-	if indexed {
-		c.idx = buildIndex(db, c)
+		c.compileClass(db, dot11.Class(ci))
 	}
 	return c
 }
@@ -197,80 +161,6 @@ func (c *CompiledDB) matchRow(candidate *Signature, scratch *MatchScratch, score
 		scores[r] = Score{Addr: addr, Sim: sims[r]}
 	}
 	return scores
-}
-
-// simsInto computes the candidate's similarity against every reference
-// into scratch.sims and returns it (length Len(), valid until the
-// scratch's next use). It is the one match kernel: the full vector, the
-// top-k selections and the fused ensemble vector all read its output.
-// Indexed snapshots take the postings scatter (index.go), dense ones
-// the row matrices; both are bit-identical to the naive Similarity
-// loop.
-func (c *CompiledDB) simsInto(candidate *Signature, scratch *MatchScratch) []float64 {
-	n := len(c.addrs)
-	if cap(scratch.sims) < n {
-		scratch.sims = make([]float64, n)
-	}
-	sims := scratch.sims[:n]
-	clear(sims)
-	if candidate == nil {
-		return sims
-	}
-	if c.idx != nil {
-		c.simsIndexed(candidate, scratch, sims)
-		return sims
-	}
-	// Ascending class order mirrors Signature.Classes(), so every
-	// reference accumulates its per-class contributions in the same
-	// order as the naive Similarity loop.
-	for ci := range c.classes {
-		cc := &c.classes[ci]
-		if !cc.present {
-			continue
-		}
-		ch := candidate.Hist(dot11.Class(ci))
-		if ch == nil || ch.Bins() != c.bins {
-			// Absent from the candidate, or a shape mismatch on which
-			// every similarity measure evaluates to zero.
-			continue
-		}
-		switch c.measure {
-		case MeasureIntersection, MeasureBhattacharyya, MeasureL1:
-			cf := ch.AppendFreqs(scratch.freqs[:0])
-			scratch.freqs = cf // keep the grown buffer for the next class
-			c.accumulate(sims, cc, cf, c.measure.fn())
-		default:
-			// Count domain, like the naive cosine path. The candidate
-			// counts are converted to float64 once (exact, so the bits
-			// cannot differ from converting inside the dot product) and
-			// the candidate norm is hoisted out of the reference loop.
-			cf := scratch.freqs[:0]
-			for _, v := range ch.CountsView() {
-				cf = append(cf, float64(v))
-			}
-			scratch.freqs = cf
-			cn := histogram.CountNorm(ch.CountsView())
-			for r := range sims {
-				if !cc.has[r] {
-					continue
-				}
-				row := cc.rows[r*c.bins : (r+1)*c.bins]
-				sims[r] += cc.weights[r] * histogram.CosineNormed(cf, row, cn, cc.norms[r])
-			}
-		}
-	}
-	return sims
-}
-
-// accumulate applies a generic frequency-domain measure across every
-// reference row that carries the class.
-func (c *CompiledDB) accumulate(sims []float64, cc *compiledClass, cf []float64, f func(a, b []float64) float64) {
-	for r := range sims {
-		if !cc.has[r] {
-			continue
-		}
-		sims[r] += cc.weights[r] * f(cf, cc.rows[r*c.bins:(r+1)*c.bins])
-	}
 }
 
 // getScratch pops a pooled scratch for the scratchless conveniences.
@@ -415,20 +305,8 @@ func (c *CompiledDB) topKAll(cands []Candidate, k int, each func(row func(*Match
 	return out
 }
 
-// IndexStats describes the snapshot's match index; Enabled is false on
-// the dense path, where DenseBytes reports the matrices actually held.
-func (c *CompiledDB) IndexStats() IndexStats {
-	if c.idx != nil {
-		return c.idx.stats
-	}
-	st := IndexStats{References: len(c.addrs)}
-	for ci := range c.classes {
-		if c.classes[ci].present {
-			st.DenseBytes += int64(len(c.addrs)) * int64(c.bins) * 8
-		}
-	}
-	return st
-}
+// IndexStats describes the snapshot's sparse match layout.
+func (c *CompiledDB) IndexStats() IndexStats { return c.stats }
 
 // MatchAll matches a batch of candidates, fanning the work out across
 // GOMAXPROCS workers. Row i of the result is exactly Match(cands[i].Sig)

@@ -231,10 +231,10 @@ func TestAddRejectsBinShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestMatchIntoZeroAlloc backs MatchInto's //fp:hotpath annotation on
-// both kernels: the dense path, and the indexed full vector for every
-// measure — alone and as the members of a fused ensemble — whose
-// accumulator must be warmed scratch, not a per-call allocation.
+// TestMatchIntoZeroAlloc backs MatchInto's //fp:hotpath annotation:
+// the full vector for every measure — alone and as the members of a
+// fused ensemble — whose scatter accumulator must be warmed scratch,
+// not a per-call allocation.
 func TestMatchIntoZeroAlloc(t *testing.T) {
 	zeroAllocs := func(t *testing.T, label string, f func()) {
 		t.Helper()
@@ -243,26 +243,10 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 			t.Fatalf("%s allocated %v times per run, want 0", label, allocs)
 		}
 	}
-	t.Run("dense", func(t *testing.T) {
-		db, cands := trainedDB(t, MeasureCosine)
-		cdb := db.Compile()
-		var scratch MatchScratch
-		zeroAllocs(t, "MatchInto", func() {
-			for _, c := range cands {
-				if got := cdb.MatchInto(c.Sig, &scratch); len(got) != cdb.Len() {
-					t.Fatal("bad match vector")
-				}
-			}
-		})
-	})
 	for _, measure := range allMeasures {
 		t.Run("indexed/"+measure.String(), func(t *testing.T) {
 			db, cands := trainedDB(t, measure)
-			db.SetIndexing(IndexOn)
 			cdb := db.Compile()
-			if !cdb.IndexStats().Enabled {
-				t.Fatal("IndexOn compiled without an index")
-			}
 			var scratch MatchScratch
 			zeroAllocs(t, "MatchInto", func() {
 				cdb.MatchInto(nil, &scratch)
@@ -279,13 +263,12 @@ func TestMatchIntoZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.SetIndexing(IndexOn)
 			if err := e.Train(tr); err != nil {
 				t.Fatal(err)
 			}
 			ce := e.Compile()
-			if !ce.IndexStats().Enabled || ce.Len() == 0 {
-				t.Fatalf("indexed ensemble: stats %+v, %d refs", ce.IndexStats(), ce.Len())
+			if ce.Len() == 0 {
+				t.Fatal("ensemble trained no references")
 			}
 			cands := e.CandidatesIn(tr, 500*time.Millisecond)
 			if len(cands) == 0 {
@@ -327,28 +310,25 @@ func TestCompiledEmptyAndNil(t *testing.T) {
 }
 
 // TestTopKIntoZeroAlloc pins the selection entry point's steady state:
-// with a warm scratch, TopKInto allocates nothing per candidate, dense
-// or indexed, under every measure.
+// with a warm scratch, TopKInto allocates nothing per candidate, under
+// every measure.
 func TestTopKIntoZeroAlloc(t *testing.T) {
 	for _, measure := range allMeasures {
-		for _, mode := range []IndexMode{IndexOff, IndexOn} {
-			db, cands := trainedDB(t, measure)
-			db.SetIndexing(mode)
-			cdb := db.Compile()
-			var scratch MatchScratch
-			f := func() {
-				for _, k := range []int{1, 5} {
-					for _, c := range cands {
-						if got := cdb.TopKInto(c.Sig, k, &scratch); len(got) != min(k, cdb.Len()) {
-							t.Fatal("bad top-k row")
-						}
+		db, cands := trainedDB(t, measure)
+		cdb := db.Compile()
+		var scratch MatchScratch
+		f := func() {
+			for _, k := range []int{1, 5} {
+				for _, c := range cands {
+					if got := cdb.TopKInto(c.Sig, k, &scratch); len(got) != min(k, cdb.Len()) {
+						t.Fatal("bad top-k row")
 					}
 				}
 			}
-			f() // warm the buffers
-			if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
-				t.Fatalf("%v index=%v: TopKInto allocated %v times per run, want 0", measure, mode, allocs)
-			}
+		}
+		f() // warm the buffers
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Fatalf("%v: TopKInto allocated %v times per run, want 0", measure, allocs)
 		}
 	}
 }

@@ -19,11 +19,10 @@ import (
 // CompiledDB) that is built lazily and invalidated by Add/Train, so
 // steady-state matching never re-derives reference frequency vectors.
 type Database struct {
-	cfg      Config
-	measure  Measure
-	indexing IndexMode // whether Compile builds the match index
-	refs     map[dot11.Addr]*Signature
-	order    []dot11.Addr // insertion order for deterministic iteration
+	cfg     Config
+	measure Measure
+	refs    map[dot11.Addr]*Signature
+	order   []dot11.Addr // insertion order for deterministic iteration
 
 	mu       sync.Mutex  // guards compiled
 	compiled *CompiledDB // lazily built matching snapshot; nil after mutation
@@ -47,25 +46,6 @@ func (db *Database) Config() Config { return db.cfg }
 
 // Measure returns the similarity measure in use.
 func (db *Database) Measure() Measure { return db.measure }
-
-// SetIndexing selects whether Compile builds the match index (see
-// IndexMode; the default IndexAuto builds it for large reference sets).
-// Changing the mode invalidates the cached snapshot.
-func (db *Database) SetIndexing(mode IndexMode) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.indexing != mode {
-		db.indexing = mode
-		db.compiled = nil
-	}
-}
-
-// Indexing returns the database's index mode.
-func (db *Database) Indexing() IndexMode {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.indexing
-}
 
 // IndexStats describes the compiled snapshot's match index.
 func (db *Database) IndexStats() IndexStats { return db.Compile().IndexStats() }
@@ -117,7 +97,6 @@ func (db *Database) Add(addr dot11.Addr, sig *Signature) error {
 // publishing immutable Compile() snapshots to the engines.
 func (db *Database) Clone() *Database {
 	out := NewDatabase(db.cfg, db.measure)
-	out.indexing = db.indexing
 	out.order = make([]dot11.Addr, len(db.order))
 	copy(out.order, db.order)
 	for addr, sig := range db.refs {

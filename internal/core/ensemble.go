@@ -282,14 +282,6 @@ func (e *Ensemble) TopK(c MultiCandidate, k int) []Score {
 	return e.Compile().TopK(c, k)
 }
 
-// SetIndexing forwards the index mode to every member database; see
-// Database.SetIndexing.
-func (e *Ensemble) SetIndexing(mode IndexMode) {
-	for _, db := range e.dbs {
-		db.SetIndexing(mode)
-	}
-}
-
 // IndexStats aggregates the members' compiled index stats; see
 // CompiledEnsemble.IndexStats.
 func (e *Ensemble) IndexStats() IndexStats {

@@ -421,15 +421,12 @@ func (ce *CompiledEnsemble) topKAll(cands []MultiCandidate, k int, each func(row
 	return out
 }
 
-// IndexStats aggregates the members' index stats: Enabled only when
-// every member carries an index, sizes summed across members.
+// IndexStats aggregates the members' index stats, sizes summed across
+// members.
 func (ce *CompiledEnsemble) IndexStats() IndexStats {
-	agg := IndexStats{Enabled: len(ce.members) > 0}
+	agg := IndexStats{Enabled: true}
 	for _, m := range ce.members {
 		st := m.IndexStats()
-		if !st.Enabled {
-			agg.Enabled = false
-		}
 		agg.References += st.References
 		agg.Entries += st.Entries
 		agg.Postings += st.Postings

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// Fused selection over indexed members must preserve the ensemble's
-// bit-identity contract: every fused TopK/Best result with all members
-// indexed is bit-for-bit the ranking of the exhaustive fused MatchInto
-// vector.
+// Fused matching must preserve the ensemble's bit-identity contract:
+// the fused vector is bit for bit the mean of the members' naive
+// Similarity values (naiveFused), and every fused TopK/Best result is
+// its stable ranking.
 
 // randSigFor is randSig for an arbitrary member parameter.
 func randSigFor(rng *rand.Rand, p Param, spec BinSpec) *Signature {
@@ -26,41 +25,42 @@ func randSigFor(rng *rand.Rand, p Param, spec BinSpec) *Signature {
 	return sig
 }
 
-// buildEnsemblePair mirrors buildPair for ensembles: identical member
-// references enrolled into an exhaustive and an indexed ensemble.
-func buildEnsemblePair(t *testing.T, measure Measure, params []Param, sigs [][]*Signature) (exh, idx *Ensemble) {
+// buildEnsemble mirrors buildRefs for ensembles: member mi enrolls
+// sigs[mi] as references synthAddr(0..).
+func buildEnsemble(t *testing.T, measure Measure, params []Param, sigs [][]*Signature) *Ensemble {
 	t.Helper()
 	spec := BinSpec{Width: synthWidth, Bins: 64}
-	var dbsE, dbsI []*Database
+	var dbs []*Database
 	for mi, p := range params {
-		cfg := Config{Param: p, Bins: spec, MinObservations: 1}
-		dbE := NewDatabase(cfg, measure)
-		dbE.SetIndexing(IndexOff)
-		dbI := NewDatabase(cfg, measure)
-		dbI.SetIndexing(IndexOn)
+		db := NewDatabase(Config{Param: p, Bins: spec, MinObservations: 1}, measure)
 		for i, sig := range sigs[mi] {
-			if err := dbE.Add(synthAddr(i), sig.Clone()); err != nil {
-				t.Fatal(err)
-			}
-			if err := dbI.Add(synthAddr(i), sig.Clone()); err != nil {
+			if err := db.Add(synthAddr(i), sig.Clone()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		dbsE = append(dbsE, dbE)
-		dbsI = append(dbsI, dbI)
+		dbs = append(dbs, db)
 	}
-	exh, err := NewEnsembleFrom(dbsE...)
+	e, err := NewEnsembleFrom(dbs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err = NewEnsembleFrom(dbsI...)
-	if err != nil {
-		t.Fatal(err)
+	return e
+}
+
+// naiveFused is the ensemble oracle for members that all enroll the
+// same references: per member-0 reference, the mean of the members'
+// naive Similarity values, summed in member order.
+func naiveFused(e *Ensemble, c MultiCandidate) []Score {
+	members := e.Members()
+	var out []Score
+	for _, addr := range members[0].Devices() {
+		sum := 0.0
+		for m, db := range members {
+			sum += Similarity(c.Sigs[m], db.Signature(addr), db.Measure())
+		}
+		out = append(out, Score{Addr: addr, Sim: sum / float64(len(members))})
 	}
-	if !idx.Compile().IndexStats().Enabled {
-		t.Fatal("ensemble IndexStats not enabled with every member indexed")
-	}
-	return exh, idx
+	return out
 }
 
 func TestEnsembleIndexBitIdentical(t *testing.T) {
@@ -79,8 +79,8 @@ func TestEnsembleIndexBitIdentical(t *testing.T) {
 				// Planted exact fused ties: two clones of reference 7.
 				sigs[mi] = append(sigs[mi], sigs[mi][7].Clone(), sigs[mi][7].Clone())
 			}
-			exh, idx := buildEnsemblePair(t, measure, params, sigs)
-			ce, ci := exh.Compile(), idx.Compile()
+			e := buildEnsemble(t, measure, params, sigs)
+			ci := e.Compile()
 
 			var scratch EnsembleScratch
 			for trial := 0; trial < 10; trial++ {
@@ -101,20 +101,15 @@ func TestEnsembleIndexBitIdentical(t *testing.T) {
 						cand.Sigs = append(cand.Sigs, randSigFor(rng, p, spec))
 					}
 				}
-				want, _ := ce.Match(cand)
+				want := naiveFused(e, cand)
 				got, _ := ci.Match(cand)
 				sameScores(t, "Match", want, got)
-
-				wb, wok := ce.Best(cand)
 				gb, gok := ci.Best(cand)
-				if wok != gok || wb.Addr != gb.Addr || math.Float64bits(wb.Sim) != math.Float64bits(gb.Sim) {
-					t.Fatalf("Best: got %v/%x/%v, want %v/%x/%v",
-						gb.Addr, math.Float64bits(gb.Sim), gok, wb.Addr, math.Float64bits(wb.Sim), wok)
-				}
+				sameBest(t, "fused", want, gb, gok)
 
-				for _, k := range []int{1, 2, 5, ce.Len(), ce.Len() + 3} {
-					sameScores(t, "TopK(ranked)", exhaustiveTopK(want, k), ci.TopKInto(cand, k, &scratch))
-					sameScores(t, "TopK(fallback)", ce.TopK(cand, k), ci.TopK(cand, k))
+				for _, k := range []int{1, 2, 5, ci.Len(), ci.Len() + 3} {
+					sameScores(t, "TopKInto", exhaustiveTopK(want, k), ci.TopKInto(cand, k, &scratch))
+					sameScores(t, "TopK", exhaustiveTopK(want, k), ci.TopK(cand, k))
 				}
 			}
 
@@ -139,8 +134,7 @@ func TestEnsembleTopKBatchConsistent(t *testing.T) {
 			sigs[mi] = append(sigs[mi], randSigFor(rng, p, spec))
 		}
 	}
-	_, idx := buildEnsemblePair(t, MeasureCosine, params, sigs)
-	ci := idx.Compile()
+	ci := buildEnsemble(t, MeasureCosine, params, sigs).Compile()
 
 	cands := make([]MultiCandidate, 24)
 	for i := range cands {
@@ -169,37 +163,4 @@ func TestEnsembleTopKBatchConsistent(t *testing.T) {
 			sameScores(t, "TopKAllWorkers", want[i], got[i])
 		}
 	}
-}
-
-// TestEnsembleIndexMixedFallback pins the fallback: an ensemble with
-// one unindexed member still ranks bit-identically through the fused
-// exhaustive vector, and SetIndexing forwards to every member.
-func TestEnsembleIndexMixedFallback(t *testing.T) {
-	params := []Param{ParamRate, ParamInterArrival}
-	spec := BinSpec{Width: synthWidth, Bins: 64}
-	rng := rand.New(rand.NewSource(31))
-	sigs := make([][]*Signature, len(params))
-	for mi, p := range params {
-		for i := 0; i < 80; i++ {
-			sigs[mi] = append(sigs[mi], randSigFor(rng, p, spec))
-		}
-	}
-	exh, idx := buildEnsemblePair(t, MeasureIntersection, params, sigs)
-	idx.Members()[1].SetIndexing(IndexOff)
-	ci := idx.Compile()
-	if ci.IndexStats().Enabled {
-		t.Fatal("ensemble IndexStats enabled with an unindexed member")
-	}
-	cand := MultiCandidate{Addr: synthAddr(999)}
-	for _, p := range params {
-		cand.Sigs = append(cand.Sigs, randSigFor(rng, p, spec))
-	}
-	fused, _ := exh.Compile().Match(cand)
-	sameScores(t, "TopK(mixed)", exhaustiveTopK(fused, 6), ci.TopK(cand, 6))
-
-	idx.SetIndexing(IndexOn)
-	if !idx.Compile().IndexStats().Enabled {
-		t.Fatal("Ensemble.SetIndexing(IndexOn) did not reach every member")
-	}
-	sameScores(t, "TopK(restored)", exhaustiveTopK(fused, 6), idx.TopK(cand, 6))
 }

@@ -485,42 +485,36 @@ func TestEnsembleMatchZeroAllocs(t *testing.T) {
 
 // TestEnsembleTopKIntoZeroAlloc pins the fused selection's steady
 // state: with a warm scratch, CompiledEnsemble.TopKInto allocates
-// nothing per candidate, dense or indexed, under every measure.
+// nothing per candidate, under every measure.
 func TestEnsembleTopKIntoZeroAlloc(t *testing.T) {
 	tr := ensembleTrace()
 	train, valid := Split(tr, 5*time.Minute)
 	for _, measure := range allMeasures {
-		for _, mode := range []IndexMode{IndexOff, IndexOn} {
-			e, err := NewEnsemble(measure, Config{Param: ParamSize}, Config{Param: ParamRate})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetIndexing(mode)
-			if err := e.Train(train); err != nil {
-				t.Fatal(err)
-			}
-			ce := e.Compile()
-			if ce.IndexStats().Enabled != (mode == IndexOn) {
-				t.Fatalf("index mode %v not applied: %+v", mode, ce.IndexStats())
-			}
-			cands := e.CandidatesIn(valid, 5*time.Minute)
-			if len(cands) == 0 {
-				t.Fatal("no candidates")
-			}
-			var scratch EnsembleScratch
-			f := func() {
-				for _, k := range []int{1, 5} {
-					for _, c := range cands {
-						if got := ce.TopKInto(c, k, &scratch); len(got) != min(k, ce.Len()) {
-							t.Fatal("bad fused top-k row")
-						}
+		e, err := NewEnsemble(measure, Config{Param: ParamSize}, Config{Param: ParamRate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Train(train); err != nil {
+			t.Fatal(err)
+		}
+		ce := e.Compile()
+		cands := e.CandidatesIn(valid, 5*time.Minute)
+		if len(cands) == 0 {
+			t.Fatal("no candidates")
+		}
+		var scratch EnsembleScratch
+		f := func() {
+			for _, k := range []int{1, 5} {
+				for _, c := range cands {
+					if got := ce.TopKInto(c, k, &scratch); len(got) != min(k, ce.Len()) {
+						t.Fatal("bad fused top-k row")
 					}
 				}
 			}
-			f() // warm the buffers
-			if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
-				t.Fatalf("%v index=%v: fused TopKInto allocated %v times per run, want 0", measure, mode, allocs)
-			}
+		}
+		f() // warm the buffers
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Fatalf("%v: fused TopKInto allocated %v times per run, want 0", measure, allocs)
 		}
 	}
 }

@@ -1,89 +1,47 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"dot11fp/internal/dot11"
 	"dot11fp/internal/histogram"
 )
 
-// This file implements the compiled database's match index, built at
-// Compile time once the reference set is large: an inverted index over
-// the non-empty fine bins plus CSR sparse rows. Reference histograms are
-// ~13× sparse (the binary codec's varint stream demonstrates the same),
-// so neither stores the zero cells the dense N×bins matrices would.
+// This file implements the compiled database's match kernel and the
+// sparse layout it reads. Compile stores each frame class's reference
+// histograms as an inverted index over the non-empty fine bins plus CSR
+// sparse rows. Reference histograms are ~13× sparse (the binary codec's
+// varint stream demonstrates the same), so neither stores the zero
+// cells a dense N×bins matrix would.
 //
-// The similarity vector (simsInto over an indexed snapshot) reads the
-// inverted index as a postings scatter. Per class it walks only the
-// candidate's non-zero bins; for each, it walks the bin's postings and
-// adds the term (product, min or √ of the candidate value and the
-// posting's stored row value, postVal) into a per-reference accumulator
-// in the MatchScratch. The work is the candidate's shared support, not
-// every reference's row. It stays bit-identical to the dense path: a
-// reference receives exactly its non-zero terms, in ascending bin
+// The similarity vector (simsInto) reads the inverted index as a
+// postings scatter. Per class it walks only the candidate's non-zero
+// bins; for each, it walks the bin's postings and adds the term
+// (product, min or √ of the candidate value and the posting's stored
+// row value, postVal) into a per-reference accumulator in the
+// MatchScratch. The work is the candidate's shared support, not every
+// reference's row. It stays bit-identical to the naive Similarity loop:
+// a reference receives exactly its non-zero terms, in ascending bin
 // order, and every term the scatter never visits is an exact +0 in the
-// dense loop (a bin the candidate lacks), which cannot change a sum of
-// non-negative terms. The candidate values are the dense path's own
-// (float64 counts for cosine, float64(count)/total otherwise, as in
-// AppendFreqs), and each reference's sum is folded into its score by
-// the same weighting and normalisation. The L1 measure's disjoint
-// scores are not exactly zero (frequency sums round), so it instead
-// merges the union of both supports over every reference sharing a
-// class (the CSR rows and classRefs) — same guarantee.
+// full-row sum (a bin the candidate lacks), which cannot change a sum
+// of non-negative terms. The candidate values are float64 counts for
+// cosine (exact, so bit-identical to the count-domain CosineCounts) and
+// float64(count)/total otherwise, as in AppendFreqs, and each
+// reference's sum is folded into its score by the same weighting and
+// normalisation. The L1 measure's disjoint scores are not exactly zero
+// (frequency sums round), so it instead merges the union of both
+// supports over every reference sharing a class (the CSR rows and
+// classRefs) — same guarantee.
 //
 // TopK, Best and Above select from that vector (see selectTop), so they
 // are bit-identical to ranking or filtering the full vector by
 // construction.
 
-// IndexMode controls whether Compile builds the match index.
-type IndexMode uint8
-
-const (
-	// IndexAuto builds the index once the reference set is large enough
-	// for the scatter to beat the dense rows (indexAutoMin references).
-	IndexAuto IndexMode = iota
-	// IndexOn always builds the index.
-	IndexOn
-	// IndexOff never builds it: matching uses the dense matrices. The
-	// exhaustive baseline for A/B comparisons.
-	IndexOff
-)
-
-// String implements fmt.Stringer.
-func (m IndexMode) String() string {
-	switch m {
-	case IndexOn:
-		return "on"
-	case IndexOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseIndexMode resolves "auto", "on" or "off".
-func ParseIndexMode(s string) (IndexMode, error) {
-	switch s {
-	case "auto":
-		return IndexAuto, nil
-	case "on":
-		return IndexOn, nil
-	case "off":
-		return IndexOff, nil
-	}
-	return 0, fmt.Errorf("core: unknown index mode %q (want auto, on or off)", s)
-}
-
-// indexAutoMin is the reference count at which IndexAuto builds the
-// index. Below it the dense kernels' contiguous loops win; above it
-// sparsity does.
-const indexAutoMin = 256
-
-// IndexStats describes the compiled match index, for Stats endpoints
-// and /metrics.
+// IndexStats describes a compiled snapshot's sparse match layout, for
+// Stats endpoints and /metrics.
 type IndexStats struct {
-	// Enabled reports whether the compiled snapshot carries an index.
+	// Enabled is true for every compiled snapshot; the key stays for
+	// API stability.
 	Enabled bool `json:"enabled"`
 	// References is the number of indexed reference rows.
 	References int `json:"references,omitempty"`
@@ -97,109 +55,105 @@ type IndexStats struct {
 	Postings int64 `json:"postings,omitempty"`
 	// IndexBytes approximates the index's memory footprint.
 	IndexBytes int64 `json:"index_bytes,omitempty"`
-	// DenseBytes is what the dense row matrices would occupy; the ratio
-	// to IndexBytes is the realised sparsity.
+	// DenseBytes is what dense N×bins row matrices would occupy; the
+	// ratio to IndexBytes is the realised sparsity.
 	DenseBytes int64 `json:"dense_bytes,omitempty"`
 }
 
-// matchIndex is the per-snapshot index over the frozen references.
-type matchIndex struct {
-	classes [dot11.NumClasses]classIndex
-	stats   IndexStats
-}
-
-// classIndex is one frame class's index layer.
-type classIndex struct {
-	// CSR of the class's non-zero reference cells, ascending bin order
-	// within each row: float64 counts for cosine, frequencies for the
-	// other measures — the same values the dense rows would hold.
-	rowStart []int32 // len n+1
-	rowBin   []int32
-	rowVal   []float64
-	// Inverted index: references (ascending) per fine bin, with each
-	// posting's row value alongside for the scatter.
-	postStart []int32 // len bins+1
-	postRef   []int32
-	postVal   []float64
-	// classRefs lists the references carrying the class, ascending —
-	// the references the L1 union merge visits.
-	classRefs []int32
-}
-
-// buildIndex freezes the index layers from the live reference map. The
-// caller has already populated c's per-class has bookkeeping.
-func buildIndex(db *Database, c *CompiledDB) *matchIndex {
+// compileClass freezes one frame class of db's references into c: the
+// weights and norms, the CSR rows, and the postings built from them. A
+// class no reference carries stays the zero compiledClass.
+func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 	n := len(c.addrs)
 	cosine := c.measure.isCosine()
-	ix := &matchIndex{}
-	for ci := range c.classes {
-		cc := &c.classes[ci]
-		if !cc.present {
+	cc := &c.classes[class]
+	// Sizing pass, so every slice is allocated once at its final size:
+	// the snapshot is rebuilt on each reference swap.
+	carriers, entries := 0, 0
+	for _, addr := range c.addrs {
+		if h := db.refs[addr].Hist(class); h != nil {
+			carriers++
+			for _, cnt := range h.CountsView() {
+				if cnt != 0 {
+					entries++
+				}
+			}
+		}
+	}
+	if carriers == 0 {
+		return
+	}
+	cc.weights = make([]float64, n)
+	if cosine {
+		cc.norms = make([]float64, n)
+	}
+	cc.rowStart = make([]int32, n+1)
+	cc.rowBin = make([]int32, 0, entries)
+	cc.rowVal = make([]float64, 0, entries)
+	cc.classRefs = make([]int32, 0, carriers)
+	binRefs := make([]int32, c.bins) // postings length per bin
+	// First pass: CSR rows.
+	for r, addr := range c.addrs {
+		cc.rowStart[r] = int32(len(cc.rowBin))
+		sig := db.refs[addr]
+		h := sig.Hist(class)
+		if h == nil {
 			continue
 		}
-		cx := &ix.classes[ci]
-		cx.rowStart = make([]int32, n+1)
-		binRefs := make([]int32, c.bins) // postings length per bin
-		// First pass: CSR rows.
-		for r, addr := range db.order {
-			cx.rowStart[r] = int32(len(cx.rowBin))
-			if !cc.has[r] {
+		cc.classRefs = append(cc.classRefs, int32(r))
+		cc.weights[r] = sig.Weight(class)
+		if cosine {
+			cc.norms[r] = histogram.CountNorm(h.CountsView())
+		}
+		total := float64(h.Total())
+		for j, cnt := range h.CountsView() {
+			if cnt == 0 {
 				continue
 			}
-			cx.classRefs = append(cx.classRefs, int32(r))
-			h := db.refs[addr].Hist(dot11.Class(ci))
-			total := float64(h.Total())
-			for j, cnt := range h.CountsView() {
-				if cnt == 0 {
-					continue
-				}
-				// The dense row's value: the float64 count for cosine,
-				// float64(count)/total (as AppendFreqs computes it) otherwise.
-				v := float64(cnt)
-				if !cosine {
-					v /= total
-				}
-				cx.rowBin = append(cx.rowBin, int32(j))
-				cx.rowVal = append(cx.rowVal, v)
-				binRefs[j]++
+			// The row value: the float64 count for cosine,
+			// float64(count)/total (as AppendFreqs computes it) otherwise.
+			v := float64(cnt)
+			if !cosine {
+				v /= total
 			}
+			cc.rowBin = append(cc.rowBin, int32(j))
+			cc.rowVal = append(cc.rowVal, v)
+			binRefs[j]++
 		}
-		cx.rowStart[n] = int32(len(cx.rowBin))
-		// Second pass: postings, ascending reference order per bin.
-		cx.postStart = make([]int32, c.bins+1)
-		var total int32
-		for j, cnt := range binRefs {
-			cx.postStart[j] = total
-			total += cnt
-		}
-		cx.postStart[c.bins] = total
-		cx.postRef = make([]int32, total)
-		cx.postVal = make([]float64, total)
-		fill := make([]int32, c.bins)
-		copy(fill, cx.postStart[:c.bins])
-		for r := 0; r < n; r++ {
-			for i := cx.rowStart[r]; i < cx.rowStart[r+1]; i++ {
-				j := cx.rowBin[i]
-				cx.postRef[fill[j]] = int32(r)
-				cx.postVal[fill[j]] = cx.rowVal[i]
-				fill[j]++
-			}
-		}
-		ix.stats.Classes++
-		ix.stats.Entries += int64(len(cx.rowBin))
-		ix.stats.Postings += int64(len(cx.postRef))
-		ix.stats.IndexBytes += int64(len(cx.rowStart)+len(cx.rowBin)+len(cx.postStart)+len(cx.postRef)+len(cx.classRefs))*4 +
-			int64(len(cx.rowVal)+len(cx.postVal))*8
-		ix.stats.DenseBytes += int64(n) * int64(c.bins) * 8
 	}
-	ix.stats.Enabled = true
-	ix.stats.References = n
-	return ix
+	cc.rowStart[n] = int32(len(cc.rowBin))
+	// Second pass: postings, ascending reference order per bin.
+	cc.postStart = make([]int32, c.bins+1)
+	var total int32
+	for j, cnt := range binRefs {
+		cc.postStart[j] = total
+		total += cnt
+	}
+	cc.postStart[c.bins] = total
+	cc.postRef = make([]int32, total)
+	cc.postVal = make([]float64, total)
+	fill := binRefs // reused as each bin's next free posting
+	copy(fill, cc.postStart[:c.bins])
+	for r := 0; r < n; r++ {
+		for i := cc.rowStart[r]; i < cc.rowStart[r+1]; i++ {
+			j := cc.rowBin[i]
+			cc.postRef[fill[j]] = int32(r)
+			cc.postVal[fill[j]] = cc.rowVal[i]
+			fill[j]++
+		}
+	}
+	st := &c.stats
+	st.Classes++
+	st.Entries += int64(len(cc.rowBin))
+	st.Postings += int64(len(cc.postRef))
+	st.IndexBytes += int64(len(cc.rowStart)+len(cc.rowBin)+len(cc.postStart)+len(cc.postRef)+len(cc.classRefs))*4 +
+		int64(len(cc.rowVal)+len(cc.postVal))*8
+	st.DenseBytes += int64(n) * int64(c.bins) * 8
 }
 
 // l1Sparse evaluates 1 − ½·Σ|a_j − b_j| over the merged supports of the
 // candidate (dense cf with support nz) and a reference CSR row. Bins
-// where both sides are zero contribute exact +0 in the dense loop and
+// where both sides are zero contribute exact +0 to the full-row sum and
 // are skipped; one-sided bins reduce to the surviving value (|x−0| ≡ x
 // bit-for-bit for the non-negative frequencies involved).
 func l1Sparse(cf []float64, nz []int32, rowBin []int32, rowVal []float64) float64 {
@@ -229,25 +183,39 @@ func l1Sparse(cf []float64, nz []int32, rowBin []int32, rowVal []float64) float6
 	return 1 - d/2
 }
 
-// simsIndexed adds the candidate's per-reference similarities into
-// sims, which arrive zeroed, by the postings scatter described at the
-// top of this file.
-func (c *CompiledDB) simsIndexed(candidate *Signature, scratch *MatchScratch, sims []float64) {
+// simsInto computes the candidate's similarity against every reference
+// into scratch.sims and returns it (length Len(), valid until the
+// scratch's next use), by the postings scatter described at the top of
+// this file. It is the one match kernel: the full vector, the top-k
+// selections and the fused ensemble vector all read its output.
+func (c *CompiledDB) simsInto(candidate *Signature, scratch *MatchScratch) []float64 {
 	n := len(c.addrs)
+	if cap(scratch.sims) < n {
+		scratch.sims = make([]float64, n)
+	}
+	sims := scratch.sims[:n]
+	clear(sims)
+	if candidate == nil {
+		return sims
+	}
 	if cap(scratch.acc) < n {
 		scratch.acc = make([]float64, n)
 	}
 	acc := scratch.acc[:n]
+	// Ascending class order mirrors Signature.Classes(), so every
+	// reference accumulates its per-class contributions in the same
+	// order as the naive Similarity loop.
 	for ci := range c.classes {
 		cc := &c.classes[ci]
-		if !cc.present {
+		if cc.classRefs == nil {
 			continue
 		}
 		ch := candidate.Hist(dot11.Class(ci))
 		if ch == nil || ch.Bins() != c.bins {
+			// Absent from the candidate, or a shape mismatch on which
+			// every similarity measure evaluates to zero.
 			continue
 		}
-		cx := &c.idx.classes[ci]
 		counts := ch.CountsView()
 		if c.measure == MeasureL1 {
 			cf := ch.AppendFreqs(scratch.freqs[:0])
@@ -259,18 +227,16 @@ func (c *CompiledDB) simsIndexed(candidate *Signature, scratch *MatchScratch, si
 				}
 			}
 			scratch.l1nz = nz
-			for _, r := range cx.classRefs {
-				start, end := cx.rowStart[r], cx.rowStart[r+1]
-				sims[r] += cc.weights[r] * l1Sparse(cf, nz, cx.rowBin[start:end], cx.rowVal[start:end])
+			for _, r := range cc.classRefs {
+				start, end := cc.rowStart[r], cc.rowStart[r+1]
+				sims[r] += cc.weights[r] * l1Sparse(cf, nz, cc.rowBin[start:end], cc.rowVal[start:end])
 			}
 			continue
 		}
-		// The candidate value of bin j is what the dense kernels see:
-		// float64 counts for cosine, float64(count)/total otherwise.
 		var cn, total float64
 		if c.measure.isCosine() {
 			if cn = histogram.CountNorm(counts); cn == 0 {
-				continue // CosineNormed is exactly 0 for every reference
+				continue // the cosine is exactly 0 for every reference
 			}
 		} else {
 			if ch.Total() == 0 {
@@ -286,9 +252,9 @@ func (c *CompiledDB) simsIndexed(candidate *Signature, scratch *MatchScratch, si
 			if v == 0 {
 				continue
 			}
-			lo, hi := cx.postStart[j], cx.postStart[j+1]
-			refs := cx.postRef[lo:hi]
-			vals := cx.postVal[lo:hi]
+			lo, hi := cc.postStart[j], cc.postStart[j+1]
+			refs := cc.postRef[lo:hi]
+			vals := cc.postVal[lo:hi]
 			vals = vals[:len(refs)] // lets the compiler drop the vals[k] bounds checks
 			switch c.measure {
 			case MeasureIntersection:
@@ -320,4 +286,5 @@ func (c *CompiledDB) simsIndexed(candidate *Signature, scratch *MatchScratch, si
 			sims[r] += cc.weights[r] * a
 		}
 	}
+	return sims
 }

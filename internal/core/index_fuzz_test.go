@@ -8,14 +8,13 @@ import (
 )
 
 // FuzzIndexedMatch is the differential test of the compiled match
-// paths: the fuzz bytes decode into a small reference set and two
-// candidates, the set is compiled with IndexOn and with IndexOff, and
-// under all four measures
+// kernel: the fuzz bytes decode into a small reference set and two
+// candidates, and under all four measures
 //
 //   - every full similarity vector — MatchInto, MatchAllScratch, and the
 //     fused and per-member rows of CompiledEnsemble.MatchAllScratch —
-//     agrees bit for bit between the two snapshots and with the naive
-//     per-pair Similarity loop (fused: the member mean);
+//     agrees bit for bit with the naive per-pair Similarity loop (fused:
+//     the member mean);
 //   - every selection — TopKInto, Best and Above, single and fused —
 //     agrees bit for bit with the naive vector ranked stably (score
 //     descending, insertion index ascending) or filtered by >=.
@@ -128,61 +127,58 @@ func FuzzIndexedMatch(f *testing.F) {
 		var scratch MatchScratch
 		var es EnsembleScratch
 		for _, measure := range allMeasures {
-			exh, idx := buildPair(t, measure, sigs[0])
-			for _, c := range single {
-				naive := make([]Score, n)
+			// The naive per-pair targets: single[i] against every member-0
+			// reference, and cands[i] per member and fused (the member mean).
+			naive := make([][]Score, len(single))
+			naiveMember := make([][][]Score, len(cands))
+			naiveFused := make([][]Score, len(cands))
+			for i, c := range single {
+				naive[i] = make([]Score, n)
 				for r, ref := range sigs[0] {
-					naive[r] = Score{Addr: synthAddr(r), Sim: Similarity(c.Sig, ref, measure)}
-				}
-				want := append([]Score(nil), exh.MatchInto(c.Sig, &scratch)...)
-				sameScores(t, measure.String()+" naive MatchInto", naive, want)
-				sameScores(t, measure.String()+" MatchInto", want, idx.MatchInto(c.Sig, &scratch))
-				for _, cdb := range []*CompiledDB{exh, idx} {
-					label := fmt.Sprintf("%v index=%v", measure, cdb.IndexStats().Enabled)
-					checkSelect(t, label, naive, func(k int) []Score { return cdb.TopKInto(c.Sig, k, &scratch) },
-						func() (Score, bool) { return cdb.Best(c.Sig) })
-					for _, thr := range naive {
-						var above []Score
-						for _, sc := range naive {
-							if sc.Sim >= thr.Sim {
-								above = append(above, sc)
-							}
-						}
-						sameScores(t, label+" Above", above, cdb.Above(c.Sig, thr.Sim))
-					}
+					naive[i][r] = Score{Addr: synthAddr(r), Sim: Similarity(c.Sig, ref, measure)}
 				}
 			}
-			wantRows, gotRows := exh.MatchAllScratch(single, &scratch), idx.MatchAllScratch(single, &scratch)
-			for i := range wantRows {
-				sameScores(t, measure.String()+" MatchAllScratch", wantRows[i], gotRows[i])
-			}
-
-			ee, ei := buildEnsemblePair(t, measure, params, sigs)
-			wantF, wantP := ee.Compile().MatchAllScratch(cands, &es)
-			gotF, gotP := ei.Compile().MatchAllScratch(cands, &es)
-			for i := range wantF {
-				sameScores(t, measure.String()+" fused", wantF[i], gotF[i])
-				for m := range params {
-					sameScores(t, measure.String()+" member", wantP[i][m], gotP[i][m])
-				}
-			}
-			for _, c := range cands {
-				naive := make([]Score, n)
-				for r := range naive {
+			for i, c := range cands {
+				naiveMember[i] = make([][]Score, len(params))
+				naiveFused[i] = make([]Score, n)
+				for r := range naiveFused[i] {
 					sum := 0.0
 					for m := range params {
-						sum += Similarity(c.Sigs[m], sigs[m][r], measure)
+						sim := Similarity(c.Sigs[m], sigs[m][r], measure)
+						naiveMember[i][m] = append(naiveMember[i][m], Score{Addr: synthAddr(r), Sim: sim})
+						sum += sim
 					}
-					naive[r] = Score{Addr: synthAddr(r), Sim: sum / float64(len(params))}
+					naiveFused[i][r] = Score{Addr: synthAddr(r), Sim: sum / float64(len(params))}
 				}
-				for _, ens := range []*Ensemble{ee, ei} {
-					ce := ens.Compile()
-					label := fmt.Sprintf("%v fused index=%v", measure, ce.IndexStats().Enabled)
-					fused, _ := ce.MatchInto(c, &es)
-					sameScores(t, label+" naive MatchInto", naive, fused)
-					checkSelect(t, label, naive, func(k int) []Score { return ce.TopKInto(c, k, &es) },
-						func() (Score, bool) { return ce.Best(c) })
+			}
+
+			cdb := buildRefs(t, measure, sigs[0]).Compile()
+			for i, c := range single {
+				sameScores(t, measure.String()+" MatchInto", naive[i], cdb.MatchInto(c.Sig, &scratch))
+				checkSelect(t, measure.String(), naive[i], func(k int) []Score { return cdb.TopKInto(c.Sig, k, &scratch) },
+					func() (Score, bool) { return cdb.Best(c.Sig) })
+				for _, thr := range naive[i] {
+					sameScores(t, measure.String()+" Above", filterAbove(naive[i], thr.Sim), cdb.Above(c.Sig, thr.Sim))
 				}
+			}
+			for i, row := range cdb.MatchAllScratch(single, &scratch) {
+				sameScores(t, measure.String()+" MatchAllScratch", naive[i], row)
+			}
+
+			ce := buildEnsemble(t, measure, params, sigs).Compile()
+			fused, member := ce.MatchAllScratch(cands, &es)
+			for i := range cands {
+				sameScores(t, measure.String()+" fused", naiveFused[i], fused[i])
+				for m := range params {
+					sameScores(t, measure.String()+" member", naiveMember[i][m], member[i][m])
+				}
+			}
+			for i, c := range cands {
+				label := measure.String() + " fused"
+				got, _ := ce.MatchInto(c, &es)
+				sameScores(t, label+" MatchInto", naiveFused[i], got)
+				checkSelect(t, label, naiveFused[i], func(k int) []Score { return ce.TopKInto(c, k, &es) },
+					func() (Score, bool) { return ce.Best(c) })
 			}
 		}
 	})
@@ -196,12 +192,8 @@ func checkSelect(t *testing.T, label string, naive []Score, topK func(k int) []S
 	for k := 1; k <= len(naive)+1; k++ {
 		sameScores(t, fmt.Sprintf("%s TopK(%d)", label, k), exhaustiveTopK(naive, k), topK(k))
 	}
-	want := exhaustiveTopK(naive, 1)[0]
 	got, ok := best()
-	sameScores(t, label+" Best", []Score{want}, []Score{got})
-	if ok != (want.Sim >= 0) {
-		t.Fatalf("%s Best: ok = %v for score %v", label, ok, want.Sim)
-	}
+	sameBest(t, label, naive, got, ok)
 }
 
 // fuzzRefs caps FuzzIndexedMatch's reference count.

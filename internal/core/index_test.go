@@ -9,10 +9,10 @@ import (
 	"dot11fp/internal/dot11"
 )
 
-// The index property: every match entry point with the index enabled is
-// bit-identical — scores, order and ties — to the exhaustive dense
-// path. These tests build the same reference set twice (IndexOff vs
-// IndexOn) and compare results with math.Float64bits, across all four
+// The match property: every match entry point of a compiled snapshot is
+// bit-identical — scores, order and ties — to the naive per-pair
+// Similarity loop (naiveMatch) ranked stably or filtered by >=. These
+// tests compare results with math.Float64bits, across all four
 // measures, random sparse databases, planted exact ties, disjoint
 // supports, and an adversarial candidate whose true best hides behind
 // the most common bin.
@@ -37,29 +37,18 @@ func randSig(rng *rand.Rand, spec BinSpec) *Signature {
 	return sig
 }
 
-// buildPair adds identical references to an exhaustive and an indexed
-// database and returns their compiled snapshots.
-func buildPair(t *testing.T, measure Measure, sigs []*Signature) (exh, idx *CompiledDB) {
+// buildRefs enrolls sigs as references synthAddr(0..) of a fresh
+// database over 64 bins.
+func buildRefs(t *testing.T, measure Measure, sigs []*Signature) *Database {
 	t.Helper()
 	spec := BinSpec{Width: synthWidth, Bins: 64}
-	cfg := Config{Param: ParamInterArrival, Bins: spec, MinObservations: 1}
-	dbE := NewDatabase(cfg, measure)
-	dbE.SetIndexing(IndexOff)
-	dbI := NewDatabase(cfg, measure)
-	dbI.SetIndexing(IndexOn)
+	db := NewDatabase(Config{Param: ParamInterArrival, Bins: spec, MinObservations: 1}, measure)
 	for i, sig := range sigs {
-		if err := dbE.Add(synthAddr(i), sig.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		if err := dbI.Add(synthAddr(i), sig.Clone()); err != nil {
+		if err := db.Add(synthAddr(i), sig.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	exh, idx = dbE.Compile(), dbI.Compile()
-	if idx.IndexStats().Enabled == (len(sigs) == 0) {
-		t.Fatalf("index enabled = %v for %d refs", idx.IndexStats().Enabled, len(sigs))
-	}
-	return exh, idx
+	return db
 }
 
 func sameScores(t *testing.T, label string, want, got []Score) {
@@ -99,6 +88,29 @@ func exhaustiveTopK(scores []Score, k int) []Score {
 	return out
 }
 
+// filterAbove is the similarity test over a full vector: the entries
+// scoring at least th, in insertion order.
+func filterAbove(scores []Score, th float64) []Score {
+	var out []Score
+	for _, sc := range scores {
+		if sc.Sim >= th {
+			out = append(out, sc)
+		}
+	}
+	return out
+}
+
+// sameBest pins a Best result against the top entry of the stably
+// ranked naive vector, with ok reporting a non-negative score.
+func sameBest(t *testing.T, label string, naive []Score, got Score, ok bool) {
+	t.Helper()
+	want := exhaustiveTopK(naive, 1)[0]
+	sameScores(t, label+" Best", []Score{want}, []Score{got})
+	if ok != (want.Sim >= 0) {
+		t.Fatalf("%s Best: ok = %v for score %v", label, ok, want.Sim)
+	}
+}
+
 func TestIndexBitIdentical(t *testing.T) {
 	for _, measure := range allMeasures {
 		measure := measure
@@ -113,7 +125,8 @@ func TestIndexBitIdentical(t *testing.T) {
 				}
 				// Planted exact ties: two clones of an existing reference.
 				sigs = append(sigs, sigs[7].Clone(), sigs[7].Clone())
-				exh, idx := buildPair(t, measure, sigs)
+				db := buildRefs(t, measure, sigs)
+				c, dense := db.Compile(), compileDense(db)
 
 				var scratch MatchScratch
 				for trial := 0; trial < 12; trial++ {
@@ -128,20 +141,15 @@ func TestIndexBitIdentical(t *testing.T) {
 					default:
 						cand = randSig(rng, spec)
 					}
-					want := exh.Match(cand)
-					got := idx.Match(cand)
-					sameScores(t, "Match", want, got)
-
-					wb, wok := exh.Best(cand)
-					gb, gok := idx.Best(cand)
-					if wok != gok || wb.Addr != gb.Addr || math.Float64bits(wb.Sim) != math.Float64bits(gb.Sim) {
-						t.Fatalf("Best: got %v/%x/%v, want %v/%x/%v",
-							gb.Addr, math.Float64bits(gb.Sim), gok, wb.Addr, math.Float64bits(wb.Sim), wok)
-					}
+					want := naiveMatch(db, cand)
+					sameScores(t, "Match", want, c.Match(cand))
+					sameScores(t, "dense baseline", want, dense.matchAll([]Candidate{{Sig: cand}}, &scratch)[0])
+					gb, gok := c.Best(cand)
+					sameBest(t, "Best", want, gb, gok)
 
 					for _, k := range []int{1, 2, 5, len(sigs), len(sigs) + 3} {
-						sameScores(t, "TopK(ranked)", exhaustiveTopK(want, k), idx.TopKInto(cand, k, &scratch))
-						sameScores(t, "TopK(dense)", exh.TopK(cand, k), idx.TopK(cand, k))
+						sameScores(t, "TopKInto", exhaustiveTopK(want, k), c.TopKInto(cand, k, &scratch))
+						sameScores(t, "TopK", exhaustiveTopK(want, k), c.TopK(cand, k))
 					}
 
 					// Thresholds at exact score values hit the tie edge.
@@ -150,7 +158,7 @@ func TestIndexBitIdentical(t *testing.T) {
 						thresholds = append(thresholds, sc.Sim)
 					}
 					for _, th := range thresholds {
-						sameScores(t, "Above", exh.Above(cand, th), idx.Above(cand, th))
+						sameScores(t, "Above", filterAbove(want, th), c.Above(cand, th))
 					}
 				}
 			}
@@ -166,7 +174,7 @@ func TestIndexBitIdentical(t *testing.T) {
 func TestIndexAdversarialCommonBin(t *testing.T) {
 	for _, measure := range allMeasures {
 		spec := BinSpec{Width: synthWidth, Bins: 64}
-		n := 300 // above indexAutoMin, so IndexAuto also applies
+		n := 300
 		sigs := make([]*Signature, n)
 		rng := rand.New(rand.NewSource(9))
 		for i := range sigs {
@@ -189,19 +197,17 @@ func TestIndexAdversarialCommonBin(t *testing.T) {
 		synthAdd(cand, dot11.ClassData, 0, 30)
 		synthAdd(cand, dot11.ClassData, 63, 1)
 
-		exh, idx := buildPair(t, measure, sigs)
-		wb, _ := exh.Best(cand)
-		if wb.Addr != synthAddr(n-1) {
-			t.Fatalf("%v: scenario broken: exhaustive best is %v, want the common-bin winner %v",
+		db := buildRefs(t, measure, sigs)
+		want := naiveMatch(db, cand)
+		if wb := exhaustiveTopK(want, 1)[0]; wb.Addr != synthAddr(n-1) {
+			t.Fatalf("%v: scenario broken: naive best is %v, want the common-bin winner %v",
 				measure, wb.Addr, synthAddr(n-1))
 		}
-		gb, gok := idx.Best(cand)
-		if !gok || gb.Addr != wb.Addr || math.Float64bits(gb.Sim) != math.Float64bits(wb.Sim) {
-			t.Fatalf("%v: indexed best %v/%x, want %v/%x",
-				measure, gb.Addr, math.Float64bits(gb.Sim), wb.Addr, math.Float64bits(wb.Sim))
-		}
+		c := db.Compile()
+		gb, gok := c.Best(cand)
+		sameBest(t, measure.String(), want, gb, gok)
 		var scratch MatchScratch
-		sameScores(t, "TopK", exhaustiveTopK(exh.Match(cand), 5), idx.TopKInto(cand, 5, &scratch))
+		sameScores(t, "TopK", exhaustiveTopK(want, 5), c.TopKInto(cand, 5, &scratch))
 	}
 }
 
@@ -226,8 +232,8 @@ func TestIndexDisjointL1(t *testing.T) {
 	synthAdd(cand, dot11.ClassData, 61, 1)
 	synthAdd(cand, dot11.ClassData, 62, 1)
 
-	exh, idx := buildPair(t, MeasureL1, sigs)
-	want := exh.Match(cand)
+	db := buildRefs(t, MeasureL1, sigs)
+	want := naiveMatch(db, cand)
 	nonzero := 0
 	for _, sc := range want {
 		if sc.Sim != 0 {
@@ -237,48 +243,16 @@ func TestIndexDisjointL1(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("scenario broken: expected disjoint L1 scores off exact zero")
 	}
-	sameScores(t, "Match", want, idx.Match(cand))
-	gb, _ := idx.Best(cand)
-	wb, _ := exh.Best(cand)
-	if wb.Addr != gb.Addr || math.Float64bits(wb.Sim) != math.Float64bits(gb.Sim) {
-		t.Fatalf("Best: got %v/%x, want %v/%x", gb.Addr, math.Float64bits(gb.Sim), wb.Addr, math.Float64bits(wb.Sim))
-	}
-}
-
-// TestIndexAuto pins the auto threshold and the opt-out.
-func TestIndexAuto(t *testing.T) {
-	spec := BinSpec{Width: synthWidth, Bins: 64}
-	cfg := Config{Param: ParamInterArrival, Bins: spec, MinObservations: 1}
-	rng := rand.New(rand.NewSource(3))
-	db := NewDatabase(cfg, MeasureCosine)
-	for i := 0; i < indexAutoMin-1; i++ {
-		if err := db.Add(synthAddr(i), randSig(rng, spec)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := db.IndexStats(); st.Enabled {
-		t.Fatalf("index built below the auto threshold: %+v", st)
-	}
-	if err := db.Add(synthAddr(indexAutoMin), randSig(rng, spec)); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.IndexStats(); !st.Enabled {
-		t.Fatalf("index not built at the auto threshold: %+v", st)
-	}
-	db.SetIndexing(IndexOff)
-	if st := db.IndexStats(); st.Enabled {
-		t.Fatalf("IndexOff still built the index: %+v", st)
-	}
-	clone := db.Clone()
-	if clone.Indexing() != IndexOff {
-		t.Fatalf("Clone dropped the index mode: %v", clone.Indexing())
-	}
+	c := db.Compile()
+	sameScores(t, "Match", want, c.Match(cand))
+	gb, gok := c.Best(cand)
+	sameBest(t, "L1", want, gb, gok)
 }
 
 // TestTopKBatchConsistent pins the batch top-k entry points against the
 // one-shot path for every worker count.
 func TestTopKBatchConsistent(t *testing.T) {
-	db, cands := synthDB(600, 12, MeasureCosine, IndexOn)
+	db, cands := synthDB(600, 12, MeasureCosine)
 	c := db.Compile()
 	var scratch MatchScratch
 	want := make([][]Score, len(cands))
@@ -300,13 +274,17 @@ func TestTopKBatchConsistent(t *testing.T) {
 // TestMatchAppendReuse pins the allocation contract of the append-style
 // convenience entry point.
 func TestMatchAppendReuse(t *testing.T) {
-	db, cands := synthDB(300, 2, MeasureCosine, IndexOn)
+	db, cands := synthDB(300, 2, MeasureCosine)
 	c := db.Compile()
 	want := c.Match(cands[0].Sig)
 	dst := c.MatchAppend(cands[0].Sig, nil)
 	sameScores(t, "MatchAppend(nil)", want, dst)
 	dst = c.MatchAppend(cands[0].Sig, dst[:0])
 	sameScores(t, "MatchAppend(reuse)", want, dst)
+	if raceEnabled {
+		t.Log("race detector on: sync.Pool drops the pooled scratch, allocations not counted")
+		return
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		dst = c.MatchAppend(cands[0].Sig, dst[:0])
 	})

@@ -32,7 +32,8 @@ import (
 //     scatter. Ω(N) by its output size, but the kernel work follows the
 //     candidate's shared support rather than N rows, and there are no
 //     N×bins dense matrices.
-//   - exhaustive: the dense IndexOff baseline. Capped at N=10k, where
+//   - exhaustive: the dense rows the scatter replaced (dense_test.go),
+//     scanned in full per candidate. Capped at N=10k, where
 //     synth's row matrices already occupy ~1.3 GB; at 100k they would
 //     need ~13 GB, which is the memory half of why the index exists.
 //
@@ -42,40 +43,31 @@ import (
 func BenchmarkMatchAllScale(b *testing.B) {
 	type fixture struct {
 		c     *CompiledDB
-		cands []Candidate
-	}
-	type fleetSet struct {
+		dense *denseDB // built on first use by the exhaustive row
 		db    *Database
 		cands []Candidate
 	}
 	cache := map[string]*fixture{}
-	fleets := map[int]*fleetSet{} // by site count
-	get := func(kind string, n int, mode IndexMode) *fixture {
-		key := fmt.Sprintf("%s/%d/%v", kind, n, mode)
+	get := func(kind string, n int) *fixture {
+		key := fmt.Sprintf("%s/%d", kind, n)
 		fx := cache[key]
 		if fx != nil {
 			return fx
 		}
+		fx = &fixture{}
 		if kind == "fleet" {
-			// One simulation serves both index modes: the trained database
-			// is recompiled, not rebuilt.
-			sites := n / fleetStations
-			fs := fleets[sites]
-			if fs == nil {
-				fs = &fleetSet{}
-				fs.db, fs.cands = scenarioDB(sites, mode)
-				fleets[sites] = fs
-			}
-			fs.db.SetIndexing(mode)
-			fx = &fixture{c: fs.db.Compile(), cands: fs.cands}
+			fx.db, fx.cands = scenarioDB(n / fleetStations)
 		} else {
 			// The raw signatures of a 100k-reference fixture are ~13 GB of
 			// dense histograms; build without GC churn, keep only the
 			// compiled snapshot, and release the rest before timing.
 			prev := debug.SetGCPercent(-1)
-			db, cands := synthDB(n, 16, MeasureCosine, mode)
-			fx = &fixture{c: db.Compile(), cands: cands}
+			fx.db, fx.cands = synthDB(n, 16, MeasureCosine)
 			debug.SetGCPercent(prev)
+		}
+		fx.c = fx.db.Compile()
+		if n > 10000 {
+			fx.db = nil // no exhaustive row: release the signatures
 		}
 		cache[key] = fx
 		runtime.GC()
@@ -90,7 +82,7 @@ func BenchmarkMatchAllScale(b *testing.B) {
 	} {
 		name, n := sz.kind+"/N="+sz.label, sz.n
 		b.Run(name+"/indexed-topk", func(b *testing.B) {
-			fx := get(sz.kind, n, IndexOn)
+			fx := get(sz.kind, n)
 			var scratch MatchScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -98,7 +90,7 @@ func BenchmarkMatchAllScale(b *testing.B) {
 			}
 		})
 		b.Run(name+"/indexed-full", func(b *testing.B) {
-			fx := get(sz.kind, n, IndexOn)
+			fx := get(sz.kind, n)
 			var scratch MatchScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -109,11 +101,15 @@ func BenchmarkMatchAllScale(b *testing.B) {
 			continue // dense matrices at 100k would need ~13 GB
 		}
 		b.Run(name+"/exhaustive", func(b *testing.B) {
-			fx := get(sz.kind, n, IndexOff)
+			fx := get(sz.kind, n)
+			if fx.dense == nil {
+				fx.dense, fx.db = compileDense(fx.db), nil
+				runtime.GC()
+			}
 			var scratch MatchScratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fx.c.MatchAllScratch(fx.cands, &scratch)
+				fx.dense.matchAll(fx.cands, &scratch)
 			}
 		})
 	}
@@ -134,9 +130,8 @@ const (
 // inter-arrival cosine database (~fleetStations references per site,
 // access point included). The candidates are site 0's first fleetWindow
 // after the training prefix.
-func scenarioDB(sites int, mode IndexMode) (*Database, []Candidate) {
+func scenarioDB(sites int) (*Database, []Candidate) {
 	db := NewDatabase(DefaultConfig(ParamInterArrival), MeasureCosine)
-	db.SetIndexing(mode)
 	var cands []Candidate
 	for s := 0; s < sites; s++ {
 		dur := fleetRef
@@ -182,14 +177,11 @@ func TestScenarioDBShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 4 office sites")
 	}
-	db, cands := scenarioDB(4, IndexOn)
+	db, cands := scenarioDB(4)
 	if db.Len() < 4*fleetStations*9/10 || db.Len() > 4*(fleetStations+2) {
 		t.Fatalf("%d references from 4 sites of %d stations", db.Len(), fleetStations)
 	}
 	if len(cands) < fleetStations/2 {
 		t.Fatalf("%d candidates in site 0's window", len(cands))
-	}
-	if !db.IndexStats().Enabled {
-		t.Fatal("IndexOn fixture built no index")
 	}
 }

@@ -84,7 +84,7 @@ func (s *synthRefSpec) sig() *Signature {
 // plus nc candidate signatures that are perturbed clones of enrolled
 // devices — the planted matches a deployment-scale matcher actually
 // sees. Deterministic for a given (n, nc).
-func synthDB(n, nc int, measure Measure, mode IndexMode) (*Database, []Candidate) {
+func synthDB(n, nc int, measure Measure) (*Database, []Candidate) {
 	rng := rand.New(rand.NewSource(int64(n) + 1))
 	models := make([]synthModel, (n+15)/16)
 	for i := range models {
@@ -93,7 +93,6 @@ func synthDB(n, nc int, measure Measure, mode IndexMode) (*Database, []Candidate
 		}
 	}
 	db := NewDatabase(Config{Param: ParamInterArrival, Bins: synthSpec(), MinObservations: 1}, measure)
-	db.SetIndexing(mode)
 	specs := make([]synthRefSpec, n)
 	for i := 0; i < n; i++ {
 		specs[i] = newSynthRefSpec(rng, &models[i/16])
@@ -127,14 +126,11 @@ func synthDB(n, nc int, measure Measure, mode IndexMode) (*Database, []Candidate
 // TestSynthDBShape pins the generator's sparsity profile so the scale
 // benchmarks keep measuring what they claim to.
 func TestSynthDBShape(t *testing.T) {
-	db, cands := synthDB(512, 8, MeasureCosine, IndexAuto)
+	db, cands := synthDB(512, 8, MeasureCosine)
 	if db.Len() != 512 {
 		t.Fatalf("Len = %d, want 512", db.Len())
 	}
 	st := db.IndexStats()
-	if !st.Enabled {
-		t.Fatalf("IndexAuto did not build the index at n=512: %+v", st)
-	}
 	nnz := float64(st.Entries) / float64(st.References)
 	if nnz < 8 || nnz > 20 {
 		t.Fatalf("mean non-zero bins per reference = %.1f, want ~15", nnz)

@@ -147,8 +147,7 @@ type Stats struct {
 	Elapsed      time.Duration `json:"elapsed_ns"`
 	FramesPerSec float64       `json:"frames_per_sec"`
 	// Index describes the installed database's compiled match index
-	// (aggregated across members on an ensemble engine); Enabled false
-	// means matching runs the dense exhaustive kernels.
+	// (aggregated across members on an ensemble engine).
 	Index core.IndexStats `json:"index"`
 }
 

@@ -36,22 +36,18 @@ func rankScores(scores []core.Score, k int) []core.Score {
 // TestEngineTopKVerdictsIdentical pins Options.TopK: verdict types,
 // order, Best and window summaries are bit-identical to the FullVector
 // run — only the events' Scores shrink to the ranked top-k — on both
-// the serial and the sharded engine, with the match index on, for an
-// explicit k and for the zero value's DefaultTopK.
+// the serial and the sharded engine, for an explicit k and for the zero
+// value's DefaultTopK.
 func TestEngineTopKVerdictsIdentical(t *testing.T) {
 	t.Parallel()
 	tr := buildScenario(t, false)
 	train, valid := core.Split(tr, 3*time.Minute)
 	cfg := core.Config{Param: core.ParamInterArrival}
 	db := core.NewDatabase(cfg, core.MeasureCosine)
-	db.SetIndexing(core.IndexOn)
 	if err := db.Train(train); err != nil {
 		t.Fatal(err)
 	}
 	cdb := db.Compile()
-	if !cdb.IndexStats().Enabled {
-		t.Fatal("index not built with IndexOn")
-	}
 	full := runEngine(t, valid, cdb, cfg, 2*time.Minute, 0)
 
 	run := func(topk int, sharded bool) *collected {

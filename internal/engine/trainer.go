@@ -441,21 +441,6 @@ func (t *Trainer) Ensemble() *core.Ensemble {
 	return t.ens.Clone()
 }
 
-// SetIndexing forwards the match-index mode to the trainer's working
-// references (see core.IndexMode), so trainer-owned databases compile
-// under the operator's choice — including cold starts, where no seed
-// database exists to carry the mode in. Safe at any time; the next
-// compile or hot-swap honours the new mode.
-func (t *Trainer) SetIndexing(mode core.IndexMode) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.multi {
-		t.ens.SetIndexing(mode)
-		return
-	}
-	t.db.SetIndexing(mode)
-}
-
 // Stats returns a snapshot of the trainer's counters.
 func (t *Trainer) Stats() TrainerStats {
 	t.mu.Lock()

@@ -64,7 +64,7 @@ func WriteMetrics(w io.Writer, snaps []SiteSnapshot) {
 		{name: "dot11fp_index_entries", typ: "gauge", help: "Non-zero (reference, bin) cells in the match index."},
 		{name: "dot11fp_index_postings", typ: "gauge", help: "Inverted-index entries in the match index."},
 		{name: "dot11fp_index_bytes", typ: "gauge", help: "Approximate match-index memory footprint."},
-		{name: "dot11fp_index_dense_bytes", typ: "gauge", help: "Memory the dense row matrices would occupy (held when the index is off)."},
+		{name: "dot11fp_index_dense_bytes", typ: "gauge", help: "Memory dense row matrices would occupy; the ratio to dot11fp_index_bytes is the realised sparsity."},
 		{name: "dot11fp_feed_clients", typ: "gauge", help: "Connected SSE feed subscribers."},
 		{name: "dot11fp_feed_events_total", typ: "counter", help: "Events published to the SSE feed."},
 		{name: "dot11fp_feed_dropped_total", typ: "counter", help: "SSE frames dropped into full client buffers."},
