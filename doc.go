@@ -46,7 +46,12 @@
 // boundary the closed window's candidates are matched against the
 // compiled references and typed events (CandidateMatched,
 // UnknownDevice, CandidateDropped, WindowClosed) are delivered to the
-// caller's sink, synchronously on the pushing goroutine. A verdict
+// caller's sink, synchronously on the pushing goroutine. Verdicts
+// stream: each is delivered, in the window's order, as soon as its
+// candidate and every candidate before it are matched, while the
+// matching workers (EngineOptions.Workers) carry on with the rest; the
+// window's drops, WindowClosed and the trainer step follow its last
+// verdict. The order of events never depends on timing. A verdict
 // carries its best reference and the ranked top k (see "Indexed
 // matching"):
 //
@@ -86,11 +91,15 @@
 // window clock and attribution rules, computes each observation's
 // parameter value against the stream-wide inter-arrival context, and
 // hash-partitions the observations across N shards (default
-// GOMAXPROCS). Each shard owns its accumulator and match scratch and is
-// fed through an SPSC batch queue; a merger joins per-shard results
-// back into one event stream. Because windowing and parameter values
-// are computed globally, the merged stream is identical to the serial
-// Engine's — same events, same order — for every shard count
+// GOMAXPROCS). Each shard owns its accumulator and is fed through an
+// SPSC batch queue; a merger joins per-shard results back into one
+// event stream. At a window close each shard ships its slice of the
+// window to the merger as soon as it is drained, then matches it
+// candidate by candidate, and the merger delivers each verdict, in the
+// merged window order, the moment its row is matched — verdicts stream
+// here too. Because windowing and parameter values are computed
+// globally, the merged stream is identical to the serial Engine's —
+// same events, same order — for every shard count
 // (TestShardedIdenticalToSerial); shard count changes wall-clock
 // behaviour only.
 //
@@ -209,12 +218,20 @@
 // events (Supervisor.Notify) and per-source SourceStats counters
 // (records, decode errors, failures, reopens, state).
 //
-// Compute: both engines recover panics in shard, merger, and sink code
-// — a poisoned frame costs its own batch, not the process, with the
-// recovery surfaced as a ComponentPanicked event on
+// Compute: both engines recover panics in shard, merger, matching and
+// sink code — a poisoned frame costs its own batch, not the process,
+// with the recovery surfaced as a ComponentPanicked event on
 // ShardedOptions.HealthSink and counted in Engine/Sharded Health()
-// snapshots. ShardedOptions.Watchdog arms a stall detector that emits
-// ShardStalled/ShardResumed as shards stop and resume draining.
+// snapshots. A panic in a matching worker is re-raised on the goroutine
+// that fanned the window out, so it is recovered like any other window
+// fault. Because verdicts stream, a fault mid-window loses only what
+// was not yet delivered: the verdicts already emitted stand, and a
+// shard that panics while matching loses only the unmatched rest of its
+// slice of the window (its drops and already-matched rows are still
+// delivered). ShardedOptions.Watchdog arms a stall detector that emits
+// ShardStalled/ShardResumed as shards stop and resume draining; Close
+// clears every stall flag once the shards have drained, since a shard
+// with no queued work cannot be stalled.
 // Supervision lives entirely off the per-frame path: the fault-free
 // hot loops stay allocation-free and lock-free
 // (TestShardedPushZeroAllocs is unchanged by all of this).
@@ -403,7 +420,10 @@
 //
 // CompiledDB is safe for concurrent use (one scratch per goroutine);
 // CompiledDB.MatchAll batches a whole candidate set across GOMAXPROCS
-// workers with deterministic, index-ordered results. CandidatesIn
+// workers with deterministic, index-ordered results, and the Stream
+// forms (MatchAllStream, TopKAllStream) hand each row to a callback, in
+// index order, as soon as it and every row before it are written — the
+// engines' verdicts stream through them. CandidatesIn
 // streams a validation trace in a single pass, and Evaluate fans
 // candidate matching out across EvalSpec.Workers (default GOMAXPROCS)
 // with results bit-identical to the serial path. EXPERIMENTS.md records
@@ -415,7 +435,8 @@
 // of its 512 inter-arrival bins, a reference a few dozen. Compile
 // therefore stores every reference set, at every size, as a sparse
 // match index — per-class inverted postings over the non-zero signature
-// bins, plus CSR rows — and never builds dense N×bins matrices.
+// bins, or CSR rows for the L1 measure, built only for the measure that
+// reads them — and never builds dense N×bins matrices.
 //
 // There is one match kernel, and everything reads its output: a
 // postings scatter. Per class, only the postings of the candidate's own

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dot11fp/internal/dot11"
 )
@@ -35,24 +33,25 @@ type CompiledDB struct {
 }
 
 // compiledClass is one frame class's frozen reference data. A class no
-// reference carries is the zero value (nil classRefs). Row values are
+// reference carries is the zero value (nil weights). Row values are
 // float64 counts for cosine (exact: counts are far below 2^53) and
-// frequencies for the other measures.
+// frequencies for the other measures. Only the layout the measure reads
+// is built: the L1 measure's union merge walks CSR rows, every other
+// measure scatters through the postings.
 type compiledClass struct {
 	weights []float64 // per reference: weight^ftype (Definition 1)
 	norms   []float64 // per reference: Euclidean norm of its count row (cosine only)
-	// CSR of the class's non-zero reference cells, ascending bin order
-	// within each row.
-	rowStart []int32 // len n+1
-	rowBin   []int32
-	rowVal   []float64
-	// Inverted index: references (ascending) per fine bin, with each
-	// posting's row value alongside for the scatter.
+	// Inverted index (all but L1): references (ascending) per fine bin,
+	// with each posting's row value alongside for the scatter.
 	postStart []int32 // len bins+1
 	postRef   []int32
 	postVal   []float64
-	// classRefs lists the references carrying the class, ascending —
-	// the references the L1 union merge visits; nil when none does.
+	// CSR of the class's non-zero reference cells (L1 only), ascending
+	// bin order within each row, and the references carrying the class,
+	// ascending — the rows the union merge visits.
+	rowStart  []int32 // len n+1
+	rowBin    []int32
+	rowVal    []float64
 	classRefs []int32
 }
 
@@ -274,35 +273,51 @@ func (c *CompiledDB) TopK(candidate *Signature, k int) []Score {
 // scratch, returning min(k, Len()) scores per candidate in one backing
 // allocation. Row i is exactly TopK(cands[i].Sig, k).
 func (c *CompiledDB) TopKAllScratch(cands []Candidate, k int, scratch *MatchScratch) [][]Score {
-	return c.topKAll(cands, k, func(row func(*MatchScratch, int)) {
-		for i := range cands {
-			row(scratch, i)
-		}
-	})
+	return c.topKAll(cands, k, 1, scratch, nil)
 }
 
 // TopKAllWorkers is TopKAllScratch fanned out across workers (0 selects
 // GOMAXPROCS, 1 forces the serial path); results are identical for
 // every worker count.
 func (c *CompiledDB) TopKAllWorkers(cands []Candidate, k, workers int) [][]Score {
-	return c.topKAll(cands, k, func(row func(*MatchScratch, int)) {
-		ForEachIndex(len(cands), workers, row)
-	})
+	return c.topKAll(cands, k, workers, nil, nil)
+}
+
+// TopKAllStream is TopKAllWorkers delivered in order as it is computed:
+// emit(i, row) runs on the calling goroutine once for every candidate,
+// in index order, as soon as rows [0, i] are ranked — while the workers
+// still rank the rest. Rows are TopKAllWorkers's, handed off to emit and
+// never reused (k <= 0 yields nil rows). A panic in a worker or in emit
+// stops the batch and propagates to the caller once every worker has
+// returned (see fanOut).
+func (c *CompiledDB) TopKAllStream(cands []Candidate, k, workers int, emit func(i int, row []Score)) {
+	c.topKAll(cands, k, workers, nil, emit)
 }
 
 // topKAll is matchAll for ranked rows: one backing of min(k, Len())
 // scores per candidate, each row selected straight into it.
-func (c *CompiledDB) topKAll(cands []Candidate, k int, each func(row func(*MatchScratch, int))) [][]Score {
+func (c *CompiledDB) topKAll(cands []Candidate, k, workers int, scratch *MatchScratch, emit func(int, []Score)) [][]Score {
 	out := make([][]Score, len(cands))
 	k = min(k, len(c.addrs))
-	if len(cands) == 0 || k <= 0 {
-		return out
+	var backing []Score
+	if k > 0 {
+		backing = make([]Score, len(cands)*k)
 	}
-	backing := make([]Score, len(cands)*k)
-	each(func(scratch *MatchScratch, i int) {
-		out[i] = selectTop(backing[i*k:(i+1)*k:(i+1)*k], c.simsInto(cands[i].Sig, scratch), c.addrs)
-	})
+	fanOut(&workerScratch, scratch, len(cands), workers, func(s *MatchScratch, i int) {
+		if k > 0 {
+			out[i] = selectTop(backing[i*k:(i+1)*k:(i+1)*k], c.simsInto(cands[i].Sig, s), c.addrs)
+		}
+	}, rowEmitter(out, emit))
 	return out
+}
+
+// rowEmitter adapts a per-row callback to fanOut's ordered emit over
+// the rows being written into out; nil stays nil.
+func rowEmitter(out [][]Score, emit func(int, []Score)) func(int) {
+	if emit == nil {
+		return nil
+	}
+	return func(i int) { emit(i, out[i]) }
 }
 
 // IndexStats describes the snapshot's sparse match layout.
@@ -321,9 +336,7 @@ func (c *CompiledDB) MatchAll(cands []Candidate) [][]Score {
 // GOMAXPROCS, 1 forces the serial path). Results are identical for
 // every worker count.
 func (c *CompiledDB) MatchAllWorkers(cands []Candidate, workers int) [][]Score {
-	return c.matchAll(cands, func(row func(*MatchScratch, int)) {
-		ForEachIndex(len(cands), workers, row)
-	})
+	return c.matchAll(cands, workers, nil, nil)
 }
 
 // MatchAllScratch is the serial, caller-scratch form of MatchAll, built
@@ -332,26 +345,25 @@ func (c *CompiledDB) MatchAllWorkers(cands []Candidate, workers int) [][]Score {
 // backing allocation per call) are handed off to the caller and never
 // aliased again. Row i is exactly Match(cands[i].Sig).
 func (c *CompiledDB) MatchAllScratch(cands []Candidate, scratch *MatchScratch) [][]Score {
-	return c.matchAll(cands, func(row func(*MatchScratch, int)) {
-		for i := range cands {
-			row(scratch, i)
-		}
-	})
+	return c.matchAll(cands, 1, scratch, nil)
 }
 
-// matchAll allocates the batch's rows in one backing; each must call
-// row(scratch, i) exactly once per candidate index, and row writes its
-// similarity vector straight into that backing.
-func (c *CompiledDB) matchAll(cands []Candidate, each func(row func(*MatchScratch, int))) [][]Score {
+// MatchAllStream is MatchAllWorkers delivered in order as it is
+// computed, exactly as TopKAllStream is for ranked rows.
+func (c *CompiledDB) MatchAllStream(cands []Candidate, workers int, emit func(i int, row []Score)) {
+	c.matchAll(cands, workers, nil, emit)
+}
+
+// matchAll allocates the batch's rows in one backing and fans the
+// candidates out (see fanOut): each row's similarity vector is written
+// straight into that backing, then handed to emit in index order.
+func (c *CompiledDB) matchAll(cands []Candidate, workers int, scratch *MatchScratch, emit func(int, []Score)) [][]Score {
 	out := make([][]Score, len(cands))
-	if len(cands) == 0 {
-		return out
-	}
 	n := len(c.addrs)
 	backing := make([]Score, len(cands)*n)
-	each(func(scratch *MatchScratch, i int) {
-		out[i] = c.matchRow(cands[i].Sig, scratch, backing[i*n:(i+1)*n:(i+1)*n])
-	})
+	fanOut(&workerScratch, scratch, len(cands), workers, func(s *MatchScratch, i int) {
+		out[i] = c.matchRow(cands[i].Sig, s, backing[i*n:(i+1)*n:(i+1)*n])
+	}, rowEmitter(out, emit))
 	return out
 }
 
@@ -361,51 +373,14 @@ func (c *CompiledDB) matchAll(cands []Candidate, each func(row func(*MatchScratc
 // matching entry points directly. Every index is processed exactly once
 // and independently; as long as fn's writes are index-disjoint, the
 // aggregate effect is identical for any worker count — the fan-out
-// changes wall-clock time, never results.
+// changes wall-clock time, never results. A panic in fn is re-raised on
+// the caller after every worker has returned.
 func ForEachIndex(n, workers int, fn func(scratch *MatchScratch, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		scratch := getWorkerScratch()
-		for i := 0; i < n; i++ {
-			fn(scratch, i)
-		}
-		workerScratch.Put(scratch)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := getWorkerScratch()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					workerScratch.Put(scratch)
-					return
-				}
-				fn(scratch, i)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(&workerScratch, nil, n, workers, fn, nil)
 }
 
-// workerScratch pools ForEachIndex's per-worker scratches, so a window's
+// workerScratch pools the fan-out's per-worker scratches, so a window's
 // fan-out reuses the previous window's buffers instead of regrowing
 // them. A worker that panics out of fn drops its scratch rather than
 // returning it.
-var workerScratch sync.Pool // *MatchScratch
-
-func getWorkerScratch() *MatchScratch {
-	if s, ok := workerScratch.Get().(*MatchScratch); ok {
-		return s
-	}
-	return &MatchScratch{}
-}
+var workerScratch = sync.Pool{New: func() any { return new(MatchScratch) }}

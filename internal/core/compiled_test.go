@@ -138,6 +138,41 @@ func TestCompiledMatchAll(t *testing.T) {
 	}
 }
 
+// TestCompiledStreamForms pins the streamed batch forms to the
+// returning ones: every row once, in index order, bit-identical, for
+// every worker count.
+func TestCompiledStreamForms(t *testing.T) {
+	t.Parallel()
+	db, cands := trainedDB(t, MeasureCosine)
+	cdb := db.Compile()
+	full := cdb.MatchAllWorkers(cands, 1)
+	top := cdb.TopKAllWorkers(cands, 3, 1)
+	for _, workers := range []int{0, 1, 2, 4} {
+		next := 0
+		cdb.MatchAllStream(cands, workers, func(i int, row []Score) {
+			if i != next {
+				t.Fatalf("workers=%d: MatchAllStream emitted row %d, want %d", workers, i, next)
+			}
+			next++
+			sameScores(t, "MatchAllStream", full[i], row)
+		})
+		if next != len(cands) {
+			t.Fatalf("workers=%d: MatchAllStream emitted %d rows, want %d", workers, next, len(cands))
+		}
+		next = 0
+		cdb.TopKAllStream(cands, 3, workers, func(i int, row []Score) {
+			if i != next {
+				t.Fatalf("workers=%d: TopKAllStream emitted row %d, want %d", workers, i, next)
+			}
+			next++
+			sameScores(t, "TopKAllStream", top[i], row)
+		})
+		if next != len(cands) {
+			t.Fatalf("workers=%d: TopKAllStream emitted %d rows, want %d", workers, next, len(cands))
+		}
+	}
+}
+
 func TestCompileCacheInvalidatedByAdd(t *testing.T) {
 	t.Parallel()
 	db, cands := trainedDB(t, MeasureCosine)

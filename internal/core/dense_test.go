@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"testing"
+
 	"dot11fp/internal/dot11"
 	"dot11fp/internal/histogram"
 )
@@ -116,7 +119,7 @@ func (d *denseDB) simsInto(candidate *Signature, scratch *MatchScratch) []float6
 					continue
 				}
 				row := cc.rows[r*d.bins : (r+1)*d.bins]
-				sims[r] += cc.weights[r] * histogram.CosineNormed(cf, row, cn, cc.norms[r])
+				sims[r] += cc.weights[r] * cosineNormed(cf, row, cn, cc.norms[r])
 			}
 		}
 	}
@@ -148,4 +151,92 @@ func (d *denseDB) matchAll(cands []Candidate, scratch *MatchScratch) [][]Score {
 		out[i] = row
 	}
 	return out
+}
+
+// cosineNormed is histogram.Cosine with both Euclidean norms
+// precomputed (na = ‖a‖, nb = ‖b‖) — the dense cosine kernel. With
+// identical accumulation order it is bit-identical to Cosine. Zero
+// norms yield 0.
+func cosineNormed(a, b []float64, na, nb float64) float64 {
+	if len(a) != len(b) || na == 0 || nb == 0 {
+		return 0
+	}
+	return dot(a, b) / (na * nb)
+}
+
+// dot returns the dot product Σ a_j·b_j of two vectors of equal length.
+// The loop is unrolled by four with the sum still accumulated in index
+// order, so the result is bit-identical to the plain loop; the plain
+// loop's speed depends on where the linker places it, 10–20% slower
+// whenever it straddles a 64-byte boundary (EXPERIMENTS.md, "Decode at
+// memory speed"), which would make the gate's baseline swing between
+// unrelated builds.
+func dot(a, b []float64) float64 {
+	var sum float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
+		sum += x[0] * y[0]
+		sum += x[1] * y[1]
+		sum += x[2] * y[2]
+		sum += x[3] * y[3]
+	}
+	for ; i < len(a); i++ {
+		sum += a[i] * b[i]
+	}
+	return sum
+}
+
+// norm returns the Euclidean norm ‖a‖ of a frequency vector.
+func norm(a []float64) float64 {
+	var n float64
+	for _, v := range a {
+		n += v * v
+	}
+	return math.Sqrt(n)
+}
+
+// TestDotBitIdenticalToPlainLoop pins the unrolled dot to the plain
+// index-order loop bit for bit, across every length residue mod 4.
+func TestDotBitIdenticalToPlainLoop(t *testing.T) {
+	t.Parallel()
+	for n := 0; n <= 67; n++ {
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i] = 1 / float64(i+3)
+			b[i] = math.Sqrt(float64(7*i + 1))
+		}
+		var want float64
+		for i := range a {
+			want += a[i] * b[i]
+		}
+		if got := dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: dot = %v, plain loop %v", n, got, want)
+		}
+	}
+}
+
+// TestCosineNormedBitIdenticalToCosine pins the dense cosine kernel to
+// histogram.Cosine over histograms covering overlap, disjoint support,
+// emptiness and clamping.
+func TestCosineNormedBitIdenticalToCosine(t *testing.T) {
+	t.Parallel()
+	a, b, c, empty := histogram.New(64, 10), histogram.New(64, 10), histogram.New(64, 10), histogram.New(64, 10)
+	for i := 0; i < 500; i++ {
+		a.Add(float64((i * 13) % 640))
+		b.Add(float64((i*7)%320 + 100))
+		c.Add(float64(i % 40)) // narrow support
+	}
+	c.AddN(5_000, 25) // clamped into the top bin
+	hs := []*histogram.Histogram{a, b, c, empty}
+	for i, ha := range hs {
+		for j, hb := range hs {
+			fa, fb := ha.Freqs(), hb.Freqs()
+			want := histogram.Cosine(fa, fb)
+			got := cosineNormed(fa, fb, norm(fa), norm(fb))
+			if got != want { // exact: same operations in the same order
+				t.Errorf("pair (%d,%d): cosineNormed %v != Cosine %v", i, j, got, want)
+			}
+		}
+	}
 }

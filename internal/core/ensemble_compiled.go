@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dot11fp/internal/dot11"
 )
@@ -305,9 +303,7 @@ func (ce *CompiledEnsemble) MatchAll(cands []MultiCandidate) (fused [][]Score, p
 // backing allocations and are handed off to the caller, never reused. A
 // mismatched candidate yields nil rows.
 func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int) (fused [][]Score, perParam [][][]Score) {
-	return ce.matchAll(cands, func(row func(*EnsembleScratch, int)) {
-		forEachEnsembleIndex(len(cands), workers, row)
-	})
+	return ce.matchAll(cands, workers, nil, nil)
 }
 
 // MatchAllScratch is the serial, caller-scratch form of MatchAll, built
@@ -315,17 +311,22 @@ func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int)
 // buffers across every window, while the returned rows (per-call
 // backing) are handed off to the caller and never aliased again.
 func (ce *CompiledEnsemble) MatchAllScratch(cands []MultiCandidate, s *EnsembleScratch) (fused [][]Score, perParam [][][]Score) {
-	return ce.matchAll(cands, func(row func(*EnsembleScratch, int)) {
-		for i := range cands {
-			row(s, i)
-		}
-	})
+	return ce.matchAll(cands, 1, s, nil)
+}
+
+// MatchAllStream is MatchAllWorkers delivered in order as it is
+// computed: emit(i, fused, perParam) runs on the calling goroutine once
+// for every candidate, in index order, as soon as rows [0, i] are
+// matched (see CompiledDB.TopKAllStream).
+func (ce *CompiledEnsemble) MatchAllStream(cands []MultiCandidate, workers int, emit func(i int, fused []Score, perParam [][]Score)) {
+	ce.matchAll(cands, workers, nil, emit)
 }
 
 // matchAll allocates the batch's fused and member rows in per-call
-// backings; each must call row(s, i) exactly once per candidate index,
-// and row writes every vector straight into those backings.
-func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, each func(row func(*EnsembleScratch, int))) (fused [][]Score, perParam [][][]Score) {
+// backings and fans the candidates out (see fanOut): each row writes
+// every vector straight into those backings, then is handed to emit in
+// index order.
+func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, workers int, own *EnsembleScratch, emit func(int, []Score, [][]Score)) (fused [][]Score, perParam [][][]Score) {
 	fused = make([][]Score, len(cands))
 	perParam = make([][][]Score, len(cands))
 	if len(cands) == 0 {
@@ -338,7 +339,11 @@ func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, each func(row func(
 	for m, cdb := range ce.members {
 		memberBacking[m] = make([]Score, len(cands)*cdb.Len())
 	}
-	each(func(s *EnsembleScratch, i int) {
+	var ready func(int)
+	if emit != nil {
+		ready = func(i int) { emit(i, fused[i], perParam[i]) }
+	}
+	fanOut(&ensembleWorkerScratch, own, len(cands), workers, func(s *EnsembleScratch, i int) {
 		if len(cands[i].Sigs) != nm {
 			return
 		}
@@ -351,7 +356,7 @@ func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, each func(row func(
 		fused[i] = fusedBacking[i*n : (i+1)*n : (i+1)*n]
 		ce.matchRows(cands[i], s, fused[i], rows)
 		perParam[i] = rows
-	})
+	}, ready)
 	return fused, perParam
 }
 
@@ -385,39 +390,39 @@ func (ce *CompiledEnsemble) TopK(c MultiCandidate, k int) []Score {
 // candidate in one backing allocation. Row i is exactly
 // TopK(cands[i], k); a mismatched candidate yields a nil row.
 func (ce *CompiledEnsemble) TopKAllScratch(cands []MultiCandidate, k int, s *EnsembleScratch) [][]Score {
-	return ce.topKAll(cands, k, func(row func(*EnsembleScratch, int)) {
-		for i := range cands {
-			row(s, i)
-		}
-	})
+	return ce.topKAll(cands, k, 1, s, nil)
 }
 
 // TopKAllWorkers is TopKAllScratch fanned out across workers (0 selects
 // GOMAXPROCS, 1 forces the serial path); results are identical for
 // every worker count.
 func (ce *CompiledEnsemble) TopKAllWorkers(cands []MultiCandidate, k, workers int) [][]Score {
-	return ce.topKAll(cands, k, func(row func(*EnsembleScratch, int)) {
-		forEachEnsembleIndex(len(cands), workers, row)
-	})
+	return ce.topKAll(cands, k, workers, nil, nil)
+}
+
+// TopKAllStream is TopKAllWorkers delivered in order as it is computed,
+// exactly as CompiledDB.TopKAllStream is for a single parameter.
+func (ce *CompiledEnsemble) TopKAllStream(cands []MultiCandidate, k, workers int, emit func(i int, fused []Score)) {
+	ce.topKAll(cands, k, workers, nil, emit)
 }
 
 // topKAll is matchAll for ranked fused rows: one backing of
 // min(k, Len()) scores per candidate, each row selected straight into
 // it.
-func (ce *CompiledEnsemble) topKAll(cands []MultiCandidate, k int, each func(row func(*EnsembleScratch, int))) [][]Score {
+func (ce *CompiledEnsemble) topKAll(cands []MultiCandidate, k, workers int, own *EnsembleScratch, emit func(int, []Score)) [][]Score {
 	out := make([][]Score, len(cands))
 	k = min(k, len(ce.addrs))
-	if len(cands) == 0 || k <= 0 {
-		return out
+	var backing []Score
+	if k > 0 {
+		backing = make([]Score, len(cands)*k)
 	}
-	backing := make([]Score, len(cands)*k)
-	each(func(s *EnsembleScratch, i int) {
-		if len(cands[i].Sigs) != len(ce.members) {
+	fanOut(&ensembleWorkerScratch, own, len(cands), workers, func(s *EnsembleScratch, i int) {
+		if k <= 0 || len(cands[i].Sigs) != len(ce.members) {
 			return
 		}
 		s.grow(ce)
 		out[i] = selectTop(backing[i*k:(i+1)*k:(i+1)*k], ce.fusedSims(cands[i], s), ce.addrs)
-	})
+	}, rowEmitter(out, emit))
 	return out
 }
 
@@ -437,53 +442,6 @@ func (ce *CompiledEnsemble) IndexStats() IndexStats {
 	return agg
 }
 
-// forEachEnsembleIndex is ForEachIndex with a per-worker
-// EnsembleScratch: fn(scratch, i) runs for every i in [0, n) across the
-// given number of workers (0 ⇒ GOMAXPROCS, 1 ⇒ inline serial), each
-// index exactly once; index-disjoint writes make the aggregate effect
-// identical for any worker count.
-func forEachEnsembleIndex(n, workers int, fn func(s *EnsembleScratch, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := getEnsembleWorkerScratch()
-		for i := 0; i < n; i++ {
-			fn(s, i)
-		}
-		ensembleWorkerScratch.Put(s)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := getEnsembleWorkerScratch()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					ensembleWorkerScratch.Put(s)
-					return
-				}
-				fn(s, i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ensembleWorkerScratch pools forEachEnsembleIndex's per-worker
+// ensembleWorkerScratch pools the ensemble fan-out's per-worker
 // scratches, like workerScratch.
-var ensembleWorkerScratch sync.Pool // *EnsembleScratch
-
-func getEnsembleWorkerScratch() *EnsembleScratch {
-	if s, ok := ensembleWorkerScratch.Get().(*EnsembleScratch); ok {
-		return s
-	}
-	return &EnsembleScratch{}
-}
+var ensembleWorkerScratch = sync.Pool{New: func() any { return new(EnsembleScratch) }}

@@ -162,5 +162,34 @@ func TestEnsembleTopKBatchConsistent(t *testing.T) {
 		for i := range want {
 			sameScores(t, "TopKAllWorkers", want[i], got[i])
 		}
+		next := 0
+		ci.TopKAllStream(cands, 4, workers, func(i int, fused []Score) {
+			if i != next {
+				t.Fatalf("TopKAllStream emitted row %d, want %d", i, next)
+			}
+			next++
+			sameScores(t, "TopKAllStream", want[i], fused)
+		})
+		if next != len(cands) {
+			t.Fatalf("TopKAllStream emitted %d rows, want %d", next, len(cands))
+		}
+		full, perParam := ci.MatchAllWorkers(cands, workers)
+		next = 0
+		ci.MatchAllStream(cands, workers, func(i int, fused []Score, pp [][]Score) {
+			if i != next {
+				t.Fatalf("MatchAllStream emitted row %d, want %d", i, next)
+			}
+			next++
+			sameScores(t, "MatchAllStream", full[i], fused)
+			if len(pp) != len(perParam[i]) {
+				t.Fatalf("MatchAllStream row %d: %d member rows, want %d", i, len(pp), len(perParam[i]))
+			}
+			for m := range pp {
+				sameScores(t, "MatchAllStream member", perParam[i][m], pp[m])
+			}
+		})
+		if next != len(cands) {
+			t.Fatalf("MatchAllStream emitted %d rows, want %d", next, len(cands))
+		}
 	}
 }

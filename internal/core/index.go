@@ -9,10 +9,10 @@ import (
 
 // This file implements the compiled database's match kernel and the
 // sparse layout it reads. Compile stores each frame class's reference
-// histograms as an inverted index over the non-empty fine bins plus CSR
-// sparse rows. Reference histograms are ~13× sparse (the binary codec's
-// varint stream demonstrates the same), so neither stores the zero
-// cells a dense N×bins matrix would.
+// histograms as an inverted index over the non-empty fine bins — or, for
+// the L1 measure, as CSR sparse rows. Reference histograms are ~13×
+// sparse (the binary codec's varint stream demonstrates the same), so
+// neither stores the zero cells a dense N×bins matrix would.
 //
 // The similarity vector (simsInto) reads the inverted index as a
 // postings scatter. Per class it walks only the candidate's non-zero
@@ -61,21 +61,33 @@ type IndexStats struct {
 }
 
 // compileClass freezes one frame class of db's references into c: the
-// weights and norms, the CSR rows, and the postings built from them. A
-// class no reference carries stays the zero compiledClass.
+// weights and norms plus the layout the measure reads — the postings,
+// or the CSR rows for L1 — in two scans of the histograms, a sizing
+// scan and a filling one, so every slice is allocated once at its
+// final size (the snapshot is rebuilt on each reference swap). A class
+// no reference carries stays the zero compiledClass.
 func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 	n := len(c.addrs)
 	cosine := c.measure.isCosine()
+	l1 := c.measure == MeasureL1
 	cc := &c.classes[class]
-	// Sizing pass, so every slice is allocated once at its final size:
-	// the snapshot is rebuilt on each reference swap.
+	// Sizing scan: carriers, non-zero cells, and postings per bin.
 	carriers, entries := 0, 0
+	var binRefs []int32
+	if !l1 {
+		binRefs = make([]int32, c.bins)
+	}
 	for _, addr := range c.addrs {
-		if h := db.refs[addr].Hist(class); h != nil {
-			carriers++
-			for _, cnt := range h.CountsView() {
-				if cnt != 0 {
-					entries++
+		h := db.refs[addr].Hist(class)
+		if h == nil {
+			continue
+		}
+		carriers++
+		for j, cnt := range h.CountsView() {
+			if cnt != 0 {
+				entries++
+				if !l1 {
+					binRefs[j]++
 				}
 			}
 		}
@@ -87,23 +99,42 @@ func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 	if cosine {
 		cc.norms = make([]float64, n)
 	}
-	cc.rowStart = make([]int32, n+1)
-	cc.rowBin = make([]int32, 0, entries)
-	cc.rowVal = make([]float64, 0, entries)
-	cc.classRefs = make([]int32, 0, carriers)
-	binRefs := make([]int32, c.bins) // postings length per bin
-	// First pass: CSR rows.
+	var fill []int32 // each bin's next free posting
+	if l1 {
+		cc.rowStart = make([]int32, n+1)
+		cc.rowBin = make([]int32, 0, entries)
+		cc.rowVal = make([]float64, 0, entries)
+		cc.classRefs = make([]int32, 0, carriers)
+	} else {
+		cc.postStart = make([]int32, c.bins+1)
+		var total int32
+		for j, cnt := range binRefs {
+			cc.postStart[j] = total
+			total += cnt
+		}
+		cc.postStart[c.bins] = total
+		cc.postRef = make([]int32, total)
+		cc.postVal = make([]float64, total)
+		fill = binRefs
+		copy(fill, cc.postStart[:c.bins])
+	}
+	// Filling scan, ascending reference order, so every bin's postings
+	// come out ascending.
 	for r, addr := range c.addrs {
-		cc.rowStart[r] = int32(len(cc.rowBin))
+		if l1 {
+			cc.rowStart[r] = int32(len(cc.rowBin))
+		}
 		sig := db.refs[addr]
 		h := sig.Hist(class)
 		if h == nil {
 			continue
 		}
-		cc.classRefs = append(cc.classRefs, int32(r))
 		cc.weights[r] = sig.Weight(class)
 		if cosine {
 			cc.norms[r] = histogram.CountNorm(h.CountsView())
+		}
+		if l1 {
+			cc.classRefs = append(cc.classRefs, int32(r))
 		}
 		total := float64(h.Total())
 		for j, cnt := range h.CountsView() {
@@ -116,37 +147,24 @@ func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 			if !cosine {
 				v /= total
 			}
-			cc.rowBin = append(cc.rowBin, int32(j))
-			cc.rowVal = append(cc.rowVal, v)
-			binRefs[j]++
+			if l1 {
+				cc.rowBin = append(cc.rowBin, int32(j))
+				cc.rowVal = append(cc.rowVal, v)
+			} else {
+				cc.postRef[fill[j]] = int32(r)
+				cc.postVal[fill[j]] = v
+				fill[j]++
+			}
 		}
 	}
-	cc.rowStart[n] = int32(len(cc.rowBin))
-	// Second pass: postings, ascending reference order per bin.
-	cc.postStart = make([]int32, c.bins+1)
-	var total int32
-	for j, cnt := range binRefs {
-		cc.postStart[j] = total
-		total += cnt
-	}
-	cc.postStart[c.bins] = total
-	cc.postRef = make([]int32, total)
-	cc.postVal = make([]float64, total)
-	fill := binRefs // reused as each bin's next free posting
-	copy(fill, cc.postStart[:c.bins])
-	for r := 0; r < n; r++ {
-		for i := cc.rowStart[r]; i < cc.rowStart[r+1]; i++ {
-			j := cc.rowBin[i]
-			cc.postRef[fill[j]] = int32(r)
-			cc.postVal[fill[j]] = cc.rowVal[i]
-			fill[j]++
-		}
+	if l1 {
+		cc.rowStart[n] = int32(len(cc.rowBin))
 	}
 	st := &c.stats
 	st.Classes++
-	st.Entries += int64(len(cc.rowBin))
+	st.Entries += int64(entries)
 	st.Postings += int64(len(cc.postRef))
-	st.IndexBytes += int64(len(cc.rowStart)+len(cc.rowBin)+len(cc.postStart)+len(cc.postRef)+len(cc.classRefs))*4 +
+	st.IndexBytes += int64(len(cc.rowStart)+len(cc.rowBin)+len(cc.classRefs)+len(cc.postStart)+len(cc.postRef))*4 +
 		int64(len(cc.rowVal)+len(cc.postVal))*8
 	st.DenseBytes += int64(n) * int64(c.bins) * 8
 }
@@ -207,7 +225,7 @@ func (c *CompiledDB) simsInto(candidate *Signature, scratch *MatchScratch) []flo
 	// order as the naive Similarity loop.
 	for ci := range c.classes {
 		cc := &c.classes[ci]
-		if cc.classRefs == nil {
+		if cc.weights == nil {
 			continue
 		}
 		ch := candidate.Hist(dot11.Class(ci))

@@ -161,6 +161,14 @@ type Stats struct {
 // one pass and matches against a CompiledEnsemble, emitting fused plus
 // per-member score vectors. Apart from the database type the contract
 // is identical.
+//
+// A closed window's verdicts stream: each is delivered as soon as its
+// candidate and every earlier candidate of the window are matched,
+// while the matching workers (Options.Workers) carry on, so the first
+// verdicts of a large window do not wait for its last. The order of
+// events is fixed regardless — verdicts in window order, then drops,
+// then WindowClosed, then the trainer's events — and the sink is only
+// ever called from the pushing goroutine, never concurrently.
 type Engine struct {
 	cfg   core.Config
 	cfgs  []core.Config // ensemble members; nil in single-parameter mode
@@ -342,8 +350,8 @@ func (e *Engine) EnsembleDB() *core.CompiledEnsemble { return e.edb.Load() }
 
 // Push ingests one record. The record is not retained. Crossing a
 // window boundary synchronously matches and emits the completed window
-// before the record is accounted to the new one. Push panics after
-// Close.
+// (streaming its verdicts as they are matched) before the record is
+// accounted to the new one. Push panics after Close.
 //
 //fp:hotpath test=TestEnginePushZeroAllocs
 func (e *Engine) Push(rec *capture.Record) {
@@ -420,9 +428,15 @@ func (e *Engine) Health() Health { return e.health.snapshot() }
 // handleWindow matches one closed window's candidates — fused in
 // ensemble mode — and emits its events. It runs on the pushing
 // goroutine, under panic supervision: a panic — a faulting sink, a
-// matching fault — loses that window's remaining events (counted in
-// Health as an engine panic) but not the stream; the accumulator has
-// already rolled to the next window and Push keeps working.
+// matching fault on any worker — loses that window's remaining events
+// (counted in Health as an engine panic) but not the stream; the
+// accumulator has already rolled to the next window and Push keeps
+// working.
+//
+// Verdicts stream: each is emitted, on this goroutine and in window
+// order, as soon as its candidate and every candidate before it are
+// matched, while the workers match the rest. Drops, WindowClosed and
+// the trainer step follow the window's last verdict.
 //
 //fp:coldpath runs once per closed window; matching and emission amortise across the window's frames
 func (e *Engine) handleWindow(w *core.WindowResult) {
@@ -433,58 +447,21 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 	}()
 	sink := e.opts.Sink
 	matchedN, unknownN := 0, 0
+	count := func(matched bool) {
+		if matched {
+			matchedN++
+		} else {
+			unknownN++
+		}
+	}
 	if e.multi {
-		edb := e.edb.Load()
-		var fused [][]core.Score
-		var perParam [][][]core.Score
-		if edb != nil && edb.Len() > 0 && len(w.Multi) > 0 {
-			// Rows share per-window backing allocations and are handed
-			// off to the events, never reused, so receivers may retain
-			// them.
-			if e.opts.TopK > 0 {
-				fused = edb.TopKAllWorkers(w.Multi, e.opts.TopK, e.opts.Workers)
-			} else {
-				fused, perParam = edb.MatchAllWorkers(w.Multi, e.opts.Workers)
-			}
-		}
-		for i := range w.Multi {
-			var f []core.Score
-			var pp [][]core.Score
-			if fused != nil {
-				f = fused[i]
-			}
-			if perParam != nil {
-				pp = perParam[i]
-			}
-			if emitVerdictMulti(sink, e.opts.Threshold, &w.Multi[i], f, pp) {
-				matchedN++
-			} else {
-				unknownN++
-			}
-		}
+		streamRowsMulti(e.edb.Load(), e.opts.TopK, e.opts.Workers, w.Multi, func(i int, fused []core.Score, perParam [][]core.Score) {
+			count(emitVerdictMulti(sink, e.opts.Threshold, &w.Multi[i], fused, perParam))
+		})
 	} else {
-		db := e.db.Load()
-		var rows [][]core.Score
-		if db != nil && db.Len() > 0 && len(w.Candidates) > 0 {
-			// Rows share one backing allocation per window and are handed
-			// off to the events, never reused, so receivers may retain them.
-			if e.opts.TopK > 0 {
-				rows = db.TopKAllWorkers(w.Candidates, e.opts.TopK, e.opts.Workers)
-			} else {
-				rows = db.MatchAllWorkers(w.Candidates, e.opts.Workers)
-			}
-		}
-		for i := range w.Candidates {
-			var scores []core.Score
-			if rows != nil {
-				scores = rows[i]
-			}
-			if emitVerdict(sink, e.opts.Threshold, &w.Candidates[i], scores) {
-				matchedN++
-			} else {
-				unknownN++
-			}
-		}
+		streamRows(e.db.Load(), e.opts.TopK, e.opts.Workers, w.Candidates, func(i int, scores []core.Score) {
+			count(emitVerdict(sink, e.opts.Threshold, &w.Candidates[i], scores))
+		})
 	}
 
 	evictedN := 0
@@ -545,5 +522,40 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 				tr.observeWindow(w.Index, w.Candidates, emit)
 			}
 		}()
+	}
+}
+
+// streamRows matches a window's candidates against db across workers
+// and calls emit(i, scores) on the calling goroutine for every
+// candidate in window order, each as soon as its row and every row
+// before it are matched — the top topK rows, or full vectors for
+// FullVector. With no database installed every candidate gets nil
+// scores. Rows are handed off to emit and never reused, so events may
+// retain them.
+func streamRows(db *core.CompiledDB, topK, workers int, cands []core.Candidate, emit func(i int, scores []core.Score)) {
+	switch {
+	case db == nil || db.Len() == 0:
+		for i := range cands {
+			emit(i, nil)
+		}
+	case topK > 0:
+		db.TopKAllStream(cands, topK, workers, emit)
+	default:
+		db.MatchAllStream(cands, workers, emit)
+	}
+}
+
+// streamRowsMulti is streamRows for an ensemble: the top topK fused
+// rows, or the full fused and per-member vectors for FullVector.
+func streamRowsMulti(edb *core.CompiledEnsemble, topK, workers int, cands []core.MultiCandidate, emit func(i int, fused []core.Score, perParam [][]core.Score)) {
+	switch {
+	case edb == nil || edb.Len() == 0:
+		for i := range cands {
+			emit(i, nil, nil)
+		}
+	case topK > 0:
+		edb.TopKAllStream(cands, topK, workers, func(i int, fused []core.Score) { emit(i, fused, nil) })
+	default:
+		edb.MatchAllStream(cands, workers, emit)
 	}
 }

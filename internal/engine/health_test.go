@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,6 +170,59 @@ func TestEnginePanicRecovery(t *testing.T) {
 	}
 	if windows.Load() < 2 {
 		t.Fatalf("only %d windows emitted after the panic", windows.Load())
+	}
+}
+
+// TestEngineVerdictPanicMidWindow checks the streamed window delivery
+// under a fault with the matching fanned out: a sink panic on a
+// window's second verdict reaches the engine's recovery through the
+// fan-out (counted as one engine panic), the verdict before it is
+// already delivered, the window's WindowClosed is lost, later windows
+// deliver in full, and no matching worker outlives the call.
+func TestEngineVerdictPanicMidWindow(t *testing.T) {
+	tr := buildScenario(t, false)
+	cfg := core.DefaultConfig(core.ParamInterArrival)
+	db := core.NewDatabase(cfg, core.MeasureCosine)
+	if err := db.Train(tr); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	verdicts := map[int]int{} // window → verdicts delivered
+	closed := map[int]bool{}
+	sink := engine.SinkFunc(func(ev engine.Event) {
+		switch ev := ev.(type) {
+		case engine.CandidateMatched:
+			verdicts[ev.Window]++
+			if ev.Window == 0 && verdicts[0] == 2 {
+				panic("sink exploded on a verdict")
+			}
+		case engine.UnknownDevice:
+			verdicts[ev.Window]++
+		case engine.WindowClosed:
+			closed[ev.Window] = true
+		}
+	})
+	eng, err := engine.New(cfg, db.Compile(), engine.Options{Window: 3 * time.Minute, Workers: 4, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.PushTrace(tr)
+	eng.Close()
+	if h := eng.Health(); h.EnginePanics != 1 {
+		t.Fatalf("EnginePanics = %d, want 1 (health: %+v)", h.EnginePanics, h)
+	}
+	if verdicts[0] != 2 || closed[0] {
+		t.Fatalf("window 0: %d verdicts, closed=%v; want the 2 up to the fault and no WindowClosed", verdicts[0], closed[0])
+	}
+	if !closed[1] || verdicts[1] == 0 {
+		t.Fatalf("window 1: %d verdicts, closed=%v; want full delivery after the fault", verdicts[1], closed[1])
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines after Close, %d before: a matching worker is still running", g, before)
 	}
 }
 

@@ -45,9 +45,10 @@ type ShardedOptions struct {
 	Sink      Sink
 	// Shards is the number of independent partitions records are hashed
 	// into by sender address; 0 selects GOMAXPROCS. Each shard owns its
-	// accumulator, match scratch and queue, so ingestion and matching
-	// scale across cores. Shard count changes wall-clock behaviour only:
-	// the merged event stream is identical for every value.
+	// accumulator and queue and matches its own candidates, so ingestion
+	// and matching scale across cores. Shard count changes wall-clock
+	// behaviour only: the merged event stream is identical for every
+	// value.
 	Shards int
 	// QueueLen is the per-shard queue depth in observations (rounded up
 	// to whole batches); 0 selects 8192. Deeper queues absorb larger
@@ -160,20 +161,26 @@ type shard struct {
 
 // shardSegment is one shard's slice of a closed window, sent to the
 // merger: candidates and dropped senders (each sorted by address) plus
-// the shard-local match rows (fused + per-member in ensemble mode).
+// the shard-local match rows (fused, plus per-member vectors under
+// FullVector, in ensemble mode). The segment ships as soon as the
+// shard's table is drained; the shard then writes rows[i] (and
+// perParam[i]) one candidate at a time and marks each in prog, which
+// the merger waits on before reading a row. Without matching (a trainer
+// defers it to the merger) rows, perParam and prog stay nil.
 type shardSegment struct {
 	meta     core.WindowMeta
 	res      core.WindowResult
 	rows     [][]core.Score
-	fused    [][]core.Score
 	perParam [][][]core.Score
+	prog     *core.Progress
+	taken    chan struct{} // the merger's receipt, for a matching shard
 }
 
 // Sharded is the concurrent form of Engine: records are hash-
 // partitioned by sender address across N independent shards, each
-// owning its accumulator and match scratch, fed through per-shard
-// SPSC batch queues; a merger joins the per-shard results back into
-// one deterministic event stream.
+// owning its accumulator and matching its own candidates, fed through
+// per-shard SPSC batch queues; a merger joins the per-shard results
+// back into one deterministic event stream.
 //
 // The contract is the serial Engine's: Push, PushTrace, Flush and
 // Close from a single goroutine; SetDB, DB and Stats from any
@@ -188,6 +195,10 @@ type shardSegment struct {
 // Engine's over the same records — same events, same order — for every
 // shard count, as long as no observations are dropped (Block policy,
 // no SenderLimits).
+//
+// Verdicts stream as on the serial Engine: each shard ships its slice
+// of a closed window before matching it, and the merger delivers each
+// verdict, in merged order, as soon as its shard has matched that row.
 type Sharded struct {
 	cfg   core.Config
 	cfgs  []core.Config // ensemble members; nil in single-parameter mode
@@ -198,6 +209,9 @@ type Sharded struct {
 
 	shards []*shard
 	segCh  chan shardSegment
+	// mergerIdle is set while the merger is blocked waiting for a
+	// segment.
+	mergerIdle atomic.Bool
 
 	// deferMatch moves window matching from the shards to the merger
 	// (set when a Trainer is attached — see ShardedOptions.Trainer).
@@ -627,6 +641,15 @@ func (s *Sharded) Close() {
 	if s.watchStop != nil {
 		close(s.watchStop)
 		s.watchWG.Wait()
+		// Every queue is drained, so no shard can be stalled — whatever
+		// the watchdog's last sample under load said.
+		for i := range s.shards {
+			if s.health.setStalled(i, false) {
+				if hs := s.opts.HealthSink; hs != nil {
+					hs.HandleEvent(ShardResumed{Shard: i})
+				}
+			}
+		}
 	}
 }
 
@@ -684,14 +707,12 @@ func (s *Sharded) Health() Health {
 
 // runShard is one shard goroutine: it drains the queue, accumulates
 // observations into the shard's sender table, and on each close control
-// drains the table, matches the shard's candidates with its private
-// scratch, and ships the segment to the merger.
+// drains the table, ships the segment to the merger and matches the
+// shard's candidates into it.
 func (s *Sharded) runShard(id int, sh *shard) {
 	defer s.shardWG.Done()
-	var scratch core.MatchScratch
-	var escratch core.EnsembleScratch
 	for msg := range sh.ch {
-		s.shardProcess(id, sh, msg, &scratch, &escratch)
+		s.shardProcess(id, sh, msg)
 		sh.processed.Add(1)
 		msg.n = 0
 		msg.closeWin = false
@@ -702,13 +723,15 @@ func (s *Sharded) runShard(id int, sh *shard) {
 // shardProcess handles one queued message under panic supervision: a
 // panic — from the batch hook, the sender table, or matching — loses
 // that message's observations (and, on a close control, the shard's
-// slice of the window) but never the shard goroutine, and never the
-// window protocol: the merger still receives a segment for every
-// (shard, window) pair, so windows keep completing and Flush/Close
-// keep returning. The loss is counted in Health as a shard panic.
+// slice of the window not yet handed to the merger: all of it before
+// the segment ships, the unmatched rest of its candidates after) but
+// never the shard goroutine, and never the window protocol: the merger
+// still receives a segment for every (shard, window) pair, so windows
+// keep completing and Flush/Close keep returning. The loss is counted
+// in Health as a shard panic.
 //
 //fp:hotpath test=TestShardedPushZeroAllocs
-func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.MatchScratch, escratch *core.EnsembleScratch) {
+func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg) {
 	sent := false
 	defer func() {
 		if r := recover(); r != nil {
@@ -740,17 +763,20 @@ func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg, scratch *core.M
 		}
 	}
 	if msg.closeWin {
-		s.shardClose(sh, msg, scratch, escratch, &sent)
+		s.shardClose(sh, msg, &sent)
 	}
 }
 
-// shardClose drains the shard's slice of a closing window, matches it
-// (unless matching is deferred to the merger) and ships the segment.
-// *sent flips just before the send so shardProcess's recovery never
-// double-ships a segment.
+// shardClose drains the shard's slice of a closing window and ships the
+// segment, then — unless matching is deferred to the merger — matches
+// its candidates in order, publishing each row to the merger as it is
+// written. *sent flips just before the send so shardProcess's recovery
+// never double-ships a segment; a panic while matching ends the
+// segment's progress, so the merger emits the rows already matched and
+// skips the rest instead of waiting for them.
 //
 //fp:coldpath runs once per (shard, window) close control; drain and match amortise across the window's frames
-func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.MatchScratch, escratch *core.EnsembleScratch, sent *bool) {
+func (s *Sharded) shardClose(sh *shard, msg *shardMsg, sent *bool) {
 	seg := shardSegment{meta: msg.meta}
 	seg.res.Index = msg.meta.Index
 	seg.res.Start, seg.res.End = msg.meta.Start, msg.meta.End
@@ -759,37 +785,66 @@ func (s *Sharded) shardClose(sh *shard, msg *shardMsg, scratch *core.MatchScratc
 	// With a trainer attached matching is deferred to the merger,
 	// so window k's enrollment swap is installed before window
 	// k+1's candidates are matched (see ShardedOptions.Trainer).
-	if !s.deferMatch {
-		if s.multi {
-			if edb := s.edb.Load(); edb != nil && edb.Len() > 0 && len(seg.res.Multi) > 0 {
-				if s.opts.TopK > 0 {
-					seg.fused = edb.TopKAllScratch(seg.res.Multi, s.opts.TopK, escratch)
-				} else {
-					seg.fused, seg.perParam = edb.MatchAllScratch(seg.res.Multi, escratch)
-				}
-			}
-		} else if db := s.db.Load(); db != nil && db.Len() > 0 && len(seg.res.Candidates) > 0 {
-			if s.opts.TopK > 0 {
-				seg.rows = db.TopKAllScratch(seg.res.Candidates, s.opts.TopK, scratch)
-			} else {
-				seg.rows = db.MatchAllScratch(seg.res.Candidates, scratch)
-			}
-		}
+	if s.deferMatch {
+		*sent = true
+		s.segCh <- seg
+		return
 	}
+	n := len(seg.res.Candidates) + len(seg.res.Multi)
+	rows, prog := make([][]core.Score, n), core.NewProgress(n)
+	seg.rows, seg.prog = rows, prog
+	defer prog.End()
+	var perParam [][][]core.Score
+	if s.multi && s.opts.TopK <= 0 {
+		perParam = make([][][]core.Score, n)
+		seg.perParam = perParam
+	}
+	seg.taken = make(chan struct{}, 1)
 	*sent = true
 	s.segCh <- seg
+	if s.mergerIdle.Load() {
+		// The send woke the idle merger onto this processor, where it
+		// would wait for the match below to run out its time slice: let
+		// it take the segment first (see core.Progress.Mark).
+		<-seg.taken
+	}
+	if s.multi {
+		streamRowsMulti(s.edb.Load(), s.opts.TopK, 1, seg.res.Multi, func(i int, fused []core.Score, pp [][]core.Score) {
+			rows[i] = fused
+			if perParam != nil {
+				perParam[i] = pp
+			}
+			prog.Mark(i)
+		})
+	} else {
+		streamRows(s.db.Load(), s.opts.TopK, 1, seg.res.Candidates, func(i int, scores []core.Score) {
+			rows[i] = scores
+			prog.Mark(i)
+		})
+	}
 }
 
 // runMerger joins shard segments back into whole windows. Every shard
 // contributes exactly one segment per close, and each shard emits its
 // windows in close order through one FIFO channel, so the final segment
 // of window k always arrives before the final segment of window k+1 —
-// windows complete, and are emitted, in index order.
+// windows complete, and are emitted, in index order. A segment arrives
+// before its rows are matched; emitWindow waits for each row in turn,
+// so a window's verdicts are delivered while its shards still match.
 func (s *Sharded) runMerger() {
 	defer s.mergerWG.Done()
 	n := len(s.shards)
 	pending := make(map[int][]shardSegment)
-	for seg := range s.segCh {
+	for {
+		s.mergerIdle.Store(true)
+		seg, ok := <-s.segCh
+		s.mergerIdle.Store(false)
+		if !ok {
+			return
+		}
+		if seg.taken != nil {
+			seg.taken <- struct{}{}
+		}
 		idx := seg.meta.Index
 		pending[idx] = append(pending[idx], seg)
 		if len(pending[idx]) == n {
@@ -868,9 +923,10 @@ func mergeByAddr(segs int, n func(int) int, addr func(k, i int) [6]byte, emit fu
 }
 
 // emitWindow merges one window's shard segments into the serial
-// engine's event order — verdicts ascending by address, then drops
-// ascending by address, then the WindowClosed summary — and returns the
-// window's counter contributions (accounted by emitWindowSafe).
+// engine's event order — verdicts ascending by address, each delivered
+// once its shard has matched it, then drops ascending by address, then
+// the WindowClosed summary — and returns the window's counter
+// contributions (accounted by emitWindowSafe).
 func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 	meta := segs[0].meta
 	sink := s.opts.Sink
@@ -911,33 +967,16 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 			func(k int) int { return len(segs[k].res.Multi) },
 			func(k, i int) [6]byte { return segs[k].res.Multi[i].Addr },
 			func(k, i int) { merged = append(merged, segs[k].res.Multi[i]) })
-		var fused [][]core.Score
-		var perParam [][][]core.Score
-		if edb := s.edb.Load(); edb != nil && edb.Len() > 0 && len(merged) > 0 {
-			if s.opts.TopK > 0 {
-				fused = edb.TopKAllWorkers(merged, s.opts.TopK, 0)
-			} else {
-				fused, perParam = edb.MatchAll(merged)
-			}
-		}
-		for i := range merged {
-			var f []core.Score
-			var pp [][]core.Score
-			if fused != nil {
-				f = fused[i]
-			}
-			if perParam != nil {
-				pp = perParam[i]
-			}
-			verdictMulti(&merged[i], f, pp)
-		}
+		streamRowsMulti(s.edb.Load(), s.opts.TopK, 0, merged, func(i int, fused []core.Score, perParam [][]core.Score) {
+			verdictMulti(&merged[i], fused, perParam)
+		})
 		trainMulti = merged
 	case s.deferMatch:
 		// Trainer mode: the shards shipped unmatched candidates. Merge
 		// them into the serial engine's ascending-address window order,
 		// then match the whole window here — after any swap the previous
-		// window's enrollment installed — fanning out across workers
-		// exactly like the serial engine's window matching.
+		// window's enrollment installed — streaming the verdicts across
+		// workers exactly like the serial engine's window matching.
 		total := 0
 		for k := range segs {
 			total += len(segs[k].res.Candidates)
@@ -947,47 +986,34 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 			func(k int) int { return len(segs[k].res.Candidates) },
 			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
 			func(k, i int) { merged = append(merged, segs[k].res.Candidates[i]) })
-		var rows [][]core.Score
-		if db := s.db.Load(); db != nil && db.Len() > 0 && len(merged) > 0 {
-			if s.opts.TopK > 0 {
-				rows = db.TopKAllWorkers(merged, s.opts.TopK, 0)
-			} else {
-				rows = db.MatchAll(merged)
-			}
-		}
-		for i := range merged {
-			var scores []core.Score
-			if rows != nil {
-				scores = rows[i]
-			}
+		streamRows(s.db.Load(), s.opts.TopK, 0, merged, func(i int, scores []core.Score) {
 			verdict(&merged[i], scores)
-		}
+		})
 		trainCands = merged
 	case s.multi:
+		// Each entry waits for its shard to match its row; a row the
+		// shard faulted before matching is lost with the rest of its
+		// slice.
 		mergeByAddr(len(segs),
 			func(k int) int { return len(segs[k].res.Multi) },
 			func(k, i int) [6]byte { return segs[k].res.Multi[i].Addr },
 			func(k, i int) {
-				var f []core.Score
-				var pp [][]core.Score
-				if segs[k].fused != nil {
-					f = segs[k].fused[i]
+				if seg := &segs[k]; seg.prog.Wait(i) {
+					var pp [][]core.Score
+					if seg.perParam != nil {
+						pp = seg.perParam[i]
+					}
+					verdictMulti(&seg.res.Multi[i], seg.rows[i], pp)
 				}
-				if segs[k].perParam != nil {
-					pp = segs[k].perParam[i]
-				}
-				verdictMulti(&segs[k].res.Multi[i], f, pp)
 			})
 	default:
 		mergeByAddr(len(segs),
 			func(k int) int { return len(segs[k].res.Candidates) },
 			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
 			func(k, i int) {
-				var scores []core.Score
-				if segs[k].rows != nil {
-					scores = segs[k].rows[i]
+				if seg := &segs[k]; seg.prog.Wait(i) {
+					verdict(&seg.res.Candidates[i], seg.rows[i])
 				}
-				verdict(&segs[k].res.Candidates[i], scores)
 			})
 	}
 

@@ -11,54 +11,6 @@ package histogram
 
 import "math"
 
-// Norm returns the Euclidean norm ‖a‖ of a frequency vector.
-func Norm(a []float64) float64 {
-	var n float64
-	for _, v := range a {
-		n += v * v
-	}
-	return math.Sqrt(n)
-}
-
-// Dot returns the dot product Σ a_j·b_j of two frequency vectors.
-// Vectors of different lengths yield 0.
-//
-// The loop is unrolled by four with the sum still accumulated in index
-// order, so the result is bit-identical to the plain loop. The plain
-// loop is a few bytes long, and its speed depends on where the linker
-// happens to place it: inlined into the compiled matcher, it ran 10–20%
-// slower whenever it straddled a 64-byte boundary, which any unrelated
-// code-size change can toggle. The unrolled body is fast at either
-// placement (EXPERIMENTS.md, "Decode at memory speed").
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return 0
-	}
-	var dot float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x, y := a[i:i+4:i+4], b[i:i+4:i+4]
-		dot += x[0] * y[0]
-		dot += x[1] * y[1]
-		dot += x[2] * y[2]
-		dot += x[3] * y[3]
-	}
-	for ; i < len(a); i++ {
-		dot += a[i] * b[i]
-	}
-	return dot
-}
-
-// CosineNormed is Cosine with both Euclidean norms precomputed
-// (na = ‖a‖, nb = ‖b‖). With identical accumulation order it is
-// bit-identical to Cosine. Zero norms yield 0.
-func CosineNormed(a, b []float64, na, nb float64) float64 {
-	if len(a) != len(b) || na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
 // CountNorm returns the Euclidean norm ‖a‖ of a count vector. Compiled
 // databases precompute this per reference histogram so the cosine kernel
 // reduces to a single dot product per comparison.

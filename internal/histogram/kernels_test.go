@@ -75,41 +75,6 @@ func TestCountKernelLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestDotBitIdenticalToPlainLoop pins the unrolled Dot to the plain
-// index-order loop bit for bit, across every length residue mod 4.
-func TestDotBitIdenticalToPlainLoop(t *testing.T) {
-	t.Parallel()
-	for n := 0; n <= 67; n++ {
-		a, b := make([]float64, n), make([]float64, n)
-		for i := range a {
-			a[i] = 1 / float64(i+3)
-			b[i] = math.Sqrt(float64(7*i + 1))
-		}
-		var want float64
-		for i := range a {
-			want += a[i] * b[i]
-		}
-		if got := Dot(a, b); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: Dot = %v, plain loop %v", n, got, want)
-		}
-	}
-}
-
-func TestCosineNormedBitIdenticalToCosine(t *testing.T) {
-	t.Parallel()
-	hs := kernelFixtures()
-	for i, ha := range hs {
-		for j, hb := range hs {
-			fa, fb := ha.Freqs(), hb.Freqs()
-			want := Cosine(fa, fb)
-			got := CosineNormed(fa, fb, Norm(fa), Norm(fb))
-			if got != want { // exact: same operations in the same order
-				t.Errorf("pair (%d,%d): CosineNormed %v != Cosine %v", i, j, got, want)
-			}
-		}
-	}
-}
-
 func TestCosineCountsNormedPrecomputed(t *testing.T) {
 	t.Parallel()
 	hs := kernelFixtures()
