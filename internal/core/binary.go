@@ -60,7 +60,8 @@ func corruptf(format string, args ...any) error {
 
 // Decode-time sanity bounds: a hostile header must not be able to make
 // the loader allocate more than a handful of bytes before the stream
-// proves it actually carries that much data.
+// proves it actually carries that much data (readCounts sizes each
+// histogram by the bytes it has seen, not by the claimed bin count).
 const (
 	maxBinaryBins    = 1 << 20 // 8 MiB of counts per histogram, far above any real shape
 	maxBinaryNameLen = 64
@@ -139,6 +140,9 @@ func writeBinaryString(bw *bufio.Writer, s string) error {
 // reported as a typed error (ErrBinaryDatabase or ErrBinaryVersion) —
 // the loader never panics and never trusts a header field it has not
 // bounded, since checkpoints cross a trust boundary like every file.
+// Handed a *bufio.Reader of at least the default size, it reads through
+// that reader and consumes exactly the database's bytes, so several
+// databases can be read back to back from one stream.
 func LoadBinary(r io.Reader) (*Database, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -211,10 +215,10 @@ func LoadBinary(r io.Reader) (*Database, error) {
 	// stream, never from the claimed count alone: a huge count over a
 	// short stream fails at the first missing byte.
 	for d := 0; d < devices; d++ {
-		var addr dot11.Addr
-		if _, err := io.ReadFull(br, addr[:]); err != nil {
+		if _, err := io.ReadFull(br, fixed[:6]); err != nil {
 			return nil, corruptf("device %d address: %v", d, err)
 		}
+		addr := dot11.Addr(fixed[:6])
 		if db.refs[addr] != nil {
 			return nil, corruptf("duplicate device %v", addr)
 		}
@@ -242,23 +246,136 @@ func LoadBinary(r io.Reader) (*Database, error) {
 			if err != nil {
 				return nil, corruptf("device %v class %v dropped count: %v", addr, class, err)
 			}
-			snap := histogram.Snapshot{BinWidth: width, Counts: make([]uint64, bins), Dropped: dropped}
-			for i := 0; i < bins; i++ {
-				if snap.Counts[i], err = binary.ReadUvarint(br); err != nil {
-					return nil, corruptf("device %v class %v bin %d: %v", addr, class, i, err)
-				}
+			counts, bin, err := readCounts(br, bins)
+			if err != nil {
+				return nil, corruptf("device %v class %v bin %d: %v", addr, class, bin, err)
 			}
-			h, err := histogram.FromSnapshot(snap)
+			h, err := histogram.FromSnapshot(histogram.Snapshot{BinWidth: width, Counts: counts, Dropped: dropped})
 			if err != nil {
 				return nil, fmt.Errorf("%w: device %v class %v: %v", ErrBinaryDatabase, addr, class, err)
 			}
-			sig.setHist(class, h)
+			sig.setHist(class, &h)
 		}
 		if err := db.Add(addr, sig); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBinaryDatabase, err)
 		}
 	}
 	return db, nil
+}
+
+// readCounts decodes one histogram's bins uvarint counts straight out
+// of br's buffered window (Peek + Discard) instead of one ReadByte
+// interface call per byte. A one-byte varint — most counts are small,
+// most are zero — costs one compare; eight in a row cost one word
+// test, and a zero word (eight empty bins) is skipped outright because
+// the slice is freshly zeroed. A longer varint goes through
+// binary.Uvarint on the window. A varint that straddles the window's
+// end, or a malformed one, is read by binary.ReadUvarint, so every
+// error is exactly the one a byte-at-a-time decode reports; on failure
+// readCounts returns the failing bin's index with it. It consumes
+// exactly the counts' bytes, so callers sharing br (the ensemble
+// container, codec sniffing) read on from the next field.
+//
+// The counts slice is allocated only once the stream has shown it
+// carries at least bins bytes (every varint takes one or more): Peek
+// proves it up front when bins fits the buffer, and above that the
+// slice grows by at most the bytes each window shows. A hostile header
+// claiming maxBinaryBins over a short stream thus allocates a few
+// bytes, not 8 MiB.
+func readCounts(br *bufio.Reader, bins int) ([]uint64, int, error) {
+	var counts []uint64
+	if bins <= br.Size() {
+		win, err := br.Peek(bins)
+		if err != nil {
+			// Fewer than bins bytes remain, so the stream cannot carry
+			// bins varints: find the failing bin without allocating.
+			bin, err := shortCounts(win, err)
+			return nil, bin, err
+		}
+		counts = make([]uint64, bins)
+	}
+	i := 0 // next bin
+	for i < bins {
+		if br.Buffered() == 0 {
+			if _, err := br.Peek(1); err != nil {
+				return nil, i, err // what ReadUvarint reports at a varint's first byte
+			}
+		}
+		win, _ := br.Peek(br.Buffered())
+		if n := min(i+len(win), bins); n > len(counts) {
+			counts = append(counts, make([]uint64, n-len(counts))...)
+		}
+		// Every varint in win takes a byte or more, so counts has room
+		// for all of them: the loop stops at a full histogram or at the
+		// window's end.
+		pos := 0
+		for pos < len(win) && i < len(counts) {
+			if pos+8 <= len(win) && i+8 <= len(counts) {
+				w := binary.LittleEndian.Uint64(win[pos:])
+				if w&0x8080808080808080 == 0 {
+					if w != 0 {
+						c := counts[i : i+8]
+						for k := range c {
+							c[k] = uint64(byte(w >> (8 * k)))
+						}
+					}
+					i += 8
+					pos += 8
+					continue
+				}
+			}
+			if b := win[pos]; b < 0x80 {
+				counts[i] = uint64(b)
+				i++
+				pos++
+				continue
+			}
+			v, n := binary.Uvarint(win[pos:])
+			if n <= 0 {
+				break // straddles the window's end, or malformed
+			}
+			counts[i] = v
+			i++
+			pos += n
+		}
+		br.Discard(pos)
+		if pos < len(win) && i < bins {
+			v, err := binary.ReadUvarint(br)
+			if err != nil {
+				return nil, i, err
+			}
+			counts[i] = v
+			i++
+		}
+	}
+	return counts, 0, nil
+}
+
+// shortCounts decodes a stream that holds only win before failing with
+// err, one byte at a time, and returns the bin whose varint fails and
+// the error ReadUvarint reports there.
+func shortCounts(win []byte, err error) (int, error) {
+	tail := &tailReader{b: win, err: err}
+	for bin := 0; ; bin++ {
+		if _, err := binary.ReadUvarint(tail); err != nil {
+			return bin, err
+		}
+	}
+}
+
+// tailReader yields a window's bytes, then the error that ended it.
+type tailReader struct {
+	b   []byte
+	err error
+}
+
+func (t *tailReader) ReadByte() (byte, error) {
+	if len(t.b) == 0 {
+		return 0, t.err
+	}
+	c := t.b[0]
+	t.b = t.b[1:]
+	return c, nil
 }
 
 // readBinaryString reads a u8-length-prefixed string.

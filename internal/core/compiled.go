@@ -109,12 +109,14 @@ func compile(db *Database) *CompiledDB {
 		stats:   IndexStats{Enabled: true, References: n},
 	}
 	copy(c.addrs, db.order)
+	sigs := make([]*Signature, n) // each reference's signature, resolved once
 	for r, addr := range c.addrs {
 		c.index[addr] = r
-		c.totals[r] = db.refs[addr].total
+		sigs[r] = db.refs[addr]
+		c.totals[r] = sigs[r].total
 	}
 	for ci := range c.classes {
-		c.compileClass(db, dot11.Class(ci))
+		c.compileClass(sigs, dot11.Class(ci))
 	}
 	return c
 }

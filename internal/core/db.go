@@ -237,7 +237,7 @@ func Load(r io.Reader) (*Database, error) {
 				return nil, fmt.Errorf("core: device %s class %s: histogram shape %d×%v does not match database %v",
 					as, cs, h.Bins(), h.BinWidth(), cfg.Bins)
 			}
-			sig.setHist(class, h)
+			sig.setHist(class, &h)
 		}
 		if err := db.Add(addr, sig); err != nil {
 			return nil, err

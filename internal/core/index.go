@@ -60,14 +60,15 @@ type IndexStats struct {
 	DenseBytes int64 `json:"dense_bytes,omitempty"`
 }
 
-// compileClass freezes one frame class of db's references into c: the
-// weights and norms plus the layout the measure reads — the postings,
-// or the CSR rows for L1 — in two scans of the histograms, a sizing
-// scan and a filling one, so every slice is allocated once at its
-// final size (the snapshot is rebuilt on each reference swap). A class
-// no reference carries stays the zero compiledClass.
-func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
-	n := len(c.addrs)
+// compileClass freezes one frame class of the references' signatures
+// (sigs, in reference order) into c: the weights and norms plus the
+// layout the measure reads — the postings, or the CSR rows for L1 — in
+// two scans of the histograms, a sizing scan and a filling one, so every
+// slice is allocated once at its final size (the snapshot is rebuilt on
+// each reference swap). A class no reference carries stays the zero
+// compiledClass.
+func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
+	n := len(sigs)
 	cosine := c.measure.isCosine()
 	l1 := c.measure == MeasureL1
 	cc := &c.classes[class]
@@ -77,8 +78,8 @@ func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 	if !l1 {
 		binRefs = make([]int32, c.bins)
 	}
-	for _, addr := range c.addrs {
-		h := db.refs[addr].Hist(class)
+	for _, sig := range sigs {
+		h := sig.Hist(class)
 		if h == nil {
 			continue
 		}
@@ -120,23 +121,23 @@ func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 	}
 	// Filling scan, ascending reference order, so every bin's postings
 	// come out ascending.
-	for r, addr := range c.addrs {
+	for r, sig := range sigs {
 		if l1 {
 			cc.rowStart[r] = int32(len(cc.rowBin))
 		}
-		sig := db.refs[addr]
 		h := sig.Hist(class)
 		if h == nil {
 			continue
 		}
 		cc.weights[r] = sig.Weight(class)
-		if cosine {
-			cc.norms[r] = histogram.CountNorm(h.CountsView())
-		}
 		if l1 {
 			cc.classRefs = append(cc.classRefs, int32(r))
 		}
 		total := float64(h.Total())
+		// The cosine norm sums the squares of the non-zero cells only:
+		// each skipped cell adds an exact +0.0 to a non-negative sum, so
+		// the bits equal histogram.CountNorm's dense sum.
+		var norm float64
 		for j, cnt := range h.CountsView() {
 			if cnt == 0 {
 				continue
@@ -144,7 +145,9 @@ func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 			// The row value: the float64 count for cosine,
 			// float64(count)/total (as AppendFreqs computes it) otherwise.
 			v := float64(cnt)
-			if !cosine {
+			if cosine {
+				norm += v * v
+			} else {
 				v /= total
 			}
 			if l1 {
@@ -155,6 +158,9 @@ func (c *CompiledDB) compileClass(db *Database, class dot11.Class) {
 				cc.postVal[fill[j]] = v
 				fill[j]++
 			}
+		}
+		if cosine {
+			cc.norms[r] = math.Sqrt(norm)
 		}
 	}
 	if l1 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -189,35 +190,40 @@ func TestSaveBinaryHeaderBounds(t *testing.T) {
 // FuzzLoadBinary hammers the binary loader with mutated checkpoints:
 // it must never panic, corrupt input must surface as a typed error,
 // and anything it does accept must survive a canonical re-save →
-// re-load cycle byte-for-byte (the checkpoint fixpoint property).
+// re-load cycle byte-for-byte (the checkpoint fixpoint property). It is
+// also differential: every input is decoded by the byte-at-a-time
+// reference loader too, fed whole, one byte per Read and half a
+// request per Read, and the outcomes must match exactly — the same
+// error, or byte-identical re-saves.
 func FuzzLoadBinary(f *testing.F) {
 	db, _ := trainedDB(f, MeasureCosine)
-	var buf bytes.Buffer
-	if err := db.SaveBinary(&buf); err != nil {
-		f.Fatal(err)
+	valid := savedBinary(f, db)
+	f.Add(valid)
+	f.Add(valid[:16])
+	for _, cut := range []int{5, 300} { // streams ending inside the last histogram
+		f.Add(valid[:len(valid)-cut])
 	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:16])
 	f.Add([]byte("D11FPDB\x01"))
 	f.Add([]byte{})
-
-	empty := NewDatabase(Config{Param: ParamSize}, MeasureCosine)
-	buf.Reset()
-	if err := empty.SaveBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(savedBinary(f, NewDatabase(Config{Param: ParamSize}, MeasureCosine)))
+	wide := savedBinary(f, wideDB(f))
+	f.Add(wide)
+	f.Add(wide[:len(wide)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := LoadBinary(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBinaryDatabase) && !errors.Is(err, ErrBinaryVersion) {
-				t.Fatalf("untyped load error: %v", err)
+		want, wantErr := loadBinaryReference(bytes.NewReader(data))
+		for name, r := range readerVariants(data) {
+			got, err := LoadBinary(r)
+			sameLoad(t, name, want, got, wantErr, err)
+		}
+		if wantErr != nil {
+			if !errors.Is(wantErr, ErrBinaryDatabase) && !errors.Is(wantErr, ErrBinaryVersion) {
+				t.Fatalf("untyped load error: %v", wantErr)
 			}
 			return
 		}
 		var first bytes.Buffer
-		if err := loaded.SaveBinary(&first); err != nil {
+		if err := want.SaveBinary(&first); err != nil {
 			t.Fatalf("re-saving an accepted database: %v", err)
 		}
 		again, err := LoadBinary(bytes.NewReader(first.Bytes()))
@@ -232,4 +238,16 @@ func FuzzLoadBinary(f *testing.F) {
 			t.Fatal("canonical form is not a fixpoint")
 		}
 	})
+}
+
+// savedBinary returns db's binary checkpoint in a slice of its own:
+// fuzz seeds are kept by reference, so they must not share a buffer
+// that a later save overwrites.
+func savedBinary(t testing.TB, db interface{ SaveBinary(io.Writer) error }) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

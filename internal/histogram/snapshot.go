@@ -17,15 +17,20 @@ func (h *Histogram) Snapshot() Snapshot {
 
 // FromSnapshot reconstructs a histogram. The snapshot is validated
 // because it typically crosses a trust boundary (files on disk).
-func FromSnapshot(s Snapshot) (*Histogram, error) {
+//
+// The histogram adopts s.Counts rather than copying it: the caller
+// hands the slice over and must not touch it afterwards. Both loaders
+// decode every snapshot into a fresh slice, so adopting saves a second
+// allocation and copy of every count at load time. Like Init, it works
+// in value terms, so the result can be stored in an inline slot (as
+// Signature does) without a Histogram allocation either.
+func FromSnapshot(s Snapshot) (Histogram, error) {
 	if s.BinWidth <= 0 || len(s.Counts) == 0 {
-		return nil, fmt.Errorf("histogram: invalid snapshot shape %d×%v", len(s.Counts), s.BinWidth)
+		return Histogram{}, fmt.Errorf("histogram: invalid snapshot shape %d×%v", len(s.Counts), s.BinWidth)
 	}
-	h := New(len(s.Counts), s.BinWidth)
-	for i, c := range s.Counts {
-		h.counts[i] = c
-		h.total += c
+	var total uint64
+	for _, c := range s.Counts {
+		total += c
 	}
-	h.dropped = s.Dropped
-	return h, nil
+	return Histogram{binWidth: s.BinWidth, counts: s.Counts, total: total, dropped: s.Dropped}, nil
 }

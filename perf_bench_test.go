@@ -272,7 +272,8 @@ func BenchmarkStreamReaderDecode(b *testing.B) {
 
 // BenchmarkDBCodec compares the two checkpoint codecs over the micro
 // fixture's trained database — the JSON interop path against the
-// binary format the trainer's SIGHUP checkpoints use.
+// binary format the trainer's SIGHUP checkpoints use — and times the
+// Compile that follows every cold start's load.
 func BenchmarkDBCodec(b *testing.B) {
 	db, _ := matchFixture(b)
 	var jsonBuf, binBuf bytes.Buffer
@@ -321,6 +322,36 @@ func BenchmarkDBCodec(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(binBuf.Len()))
+	})
+	// compile: a fresh Compile of a ≥1k-reference database (the micro
+	// fixture's references repeated under new addresses). Compile caches
+	// its snapshot, so each iteration compiles a database loaded anew
+	// from the checkpoint, with the load off the clock.
+	b.Run("compile", func(b *testing.B) {
+		big := dot11fp.NewDatabase(db.Config(), db.Measure())
+		devs := db.Devices()
+		for i := 0; big.Len() < 1024; i++ {
+			addr := dot11fp.Addr{0x02, 0xfb, 0, byte(i >> 16), byte(i >> 8), byte(i)}
+			if err := big.Add(addr, db.Signature(devs[i%len(devs)])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var ckpt bytes.Buffer
+		if err := big.SaveBinary(&ckpt); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh, err := dot11fp.LoadBinaryDatabase(bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			fresh.Compile()
+		}
+		b.ReportMetric(float64(big.Len()), "refs")
 	})
 }
 
