@@ -256,7 +256,8 @@ const (
 	// carries when TopK is zero.
 	DefaultTopK = engine.DefaultTopK
 	// FullVector makes verdict events carry the full similarity vector
-	// (and the per-member vectors in ensemble mode) instead of the top k.
+	// (and, on an ensemble engine, the per-member vectors) instead of
+	// the top k.
 	FullVector = engine.FullVector
 )
 
@@ -309,8 +310,9 @@ type (
 	// EnrollDecision is the three-way verdict of TrainerOptions.Decide
 	// (DecideApprove, DecideReject, DecideDefer).
 	EnrollDecision = engine.EnrollDecision
-	// DBSetter is the hot-swap half of an engine as the trainer sees
-	// it; Engine and ShardedEngine both implement it.
+	// DBSetter is the hot-swap half of a single-parameter engine;
+	// Engine and ShardedEngine both implement it, and Trainer.Bind
+	// takes either.
 	DBSetter = engine.DBSetter
 	// EnsembleDBSetter is the hot-swap half of an ensemble engine;
 	// Engine and ShardedEngine both implement it.

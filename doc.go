@@ -81,7 +81,8 @@
 // so batch and streaming output are bit-identical
 // (TestEngineBitIdenticalToBatch). See cmd/livemon for the pipeline as
 // a live monitoring service and examples/livestream for the API end to
-// end.
+// end. Under the hood a single-parameter engine is the fused engine of
+// "Multi-parameter fusion" with one member.
 //
 // # Scaling
 //
@@ -149,8 +150,9 @@
 // windows and MinObservations observations), applies the enrollment
 // policy — EnrollAuto, EnrollConfirm with a callback, a deny-list —
 // and promotes completed signatures into its private copy-on-write
-// Database, compiling and hot-swapping the engine so the next window
-// matches against the grown reference set. Promotions surface as typed
+// references (an Ensemble of one member for NewTrainer), compiling and
+// hot-swapping the engine so the next window matches against the grown
+// reference set. Promotions surface as typed
 // events: EnrollmentProgress per pending sender, DeviceEnrolled per
 // promotion, and exactly one DBSwapped per promotion batch.
 //
@@ -288,6 +290,16 @@
 //	ens, _ := dot11fp.NewEnsemble(dot11fp.MeasureCosine, cfgs...)
 //	ens.Train(trainTrace)
 //	eng, _ := dot11fp.NewEnsembleEngine(cfgs, ens.Compile(), dot11fp.EngineOptions{Sink: sink})
+//
+// This is the only engine: NewEngine / NewShardedEngine (and
+// NewTrainer) build it with one member. An ensemble of one is its
+// member bit for bit — one parameter's mean is its own similarity, and
+// its reference order is the fused order — so the single-parameter
+// streams are the one-member fused streams (TestEnsembleOfOneIdentical,
+// serial and sharded, top k and FullVector). The two differ only at the
+// API edge: single-parameter verdicts carry Sig instead of Sigs and
+// ParamScores, and references swap through SetDB/DB (a CompiledDB)
+// instead of SetEnsembleDB/EnsembleDB.
 //
 // The fused streams are exact: TestEnsembleEngineBitIdenticalToBatch
 // pins serial and sharded fused scores bit-identical to the batch

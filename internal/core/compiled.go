@@ -30,6 +30,9 @@ type CompiledDB struct {
 	stats   IndexStats
 
 	scratch sync.Pool // *MatchScratch, for the scratchless conveniences
+
+	ensembleOnce sync.Once
+	ensemble     *CompiledEnsemble // the one-member view (AsEnsemble), built once
 }
 
 // compiledClass is one frame class's frozen reference data. A class no

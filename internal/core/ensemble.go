@@ -190,12 +190,20 @@ func (e *Ensemble) Signatures(addr dot11.Addr) []*Signature {
 // Len returns the number of devices known to every member database —
 // the matchable reference set. Devices that cleared the
 // minimum-observation rule for some members but not all do not count;
-// Partial lists them.
+// Partial lists them. The count walks member 0's insertion order in
+// place, probing only the other members, so a one-member ensemble
+// counts in O(1) and no call allocates.
 func (e *Ensemble) Len() int {
-	n := 0
-	for _, addr := range e.dbs[0].Devices() {
-		if e.knownToAll(addr) {
-			n++
+	n := len(e.dbs[0].order)
+	if len(e.dbs) == 1 {
+		return n
+	}
+	for _, addr := range e.dbs[0].order {
+		for _, db := range e.dbs[1:] {
+			if db.refs[addr] == nil {
+				n--
+				break
+			}
 		}
 	}
 	return n

@@ -133,6 +133,16 @@ func compileEnsemble(members []*CompiledDB) *CompiledEnsemble {
 	return ce
 }
 
+// AsEnsemble returns the snapshot as a one-member CompiledEnsemble: c is
+// its only member and c's reference order the fused order, so fused
+// scores, ranks and ties equal c's own bit for bit. The streaming
+// engines run a single parameter this way. The view is built on first
+// use and shared by every later call.
+func (c *CompiledDB) AsEnsemble() *CompiledEnsemble {
+	c.ensembleOnce.Do(func() { c.ensemble = compileEnsemble([]*CompiledDB{c}) })
+	return c.ensemble
+}
+
 // Members returns the frozen member snapshots in parameter order.
 func (ce *CompiledEnsemble) Members() []*CompiledDB {
 	out := make([]*CompiledDB, len(ce.members))
@@ -231,6 +241,11 @@ func (ce *CompiledEnsemble) matchRows(c MultiCandidate, s *EnsembleScratch, fuse
 // by the member count. s must have been grown for ce and c must carry
 // one signature per member.
 func (ce *CompiledEnsemble) fusedSims(c MultiCandidate, s *EnsembleScratch) []float64 {
+	if len(ce.members) == 1 {
+		// One member: its reference order is the fused order and the
+		// mean (0+x)/1 is x, so its vector is the fused one as it stands.
+		return ce.members[0].simsInto(c.Sigs[0], &s.member[0])
+	}
 	for m, cdb := range ce.members {
 		cdb.simsInto(c.Sigs[m], &s.member[m])
 	}
@@ -300,8 +315,9 @@ func (ce *CompiledEnsemble) MatchAll(cands []MultiCandidate) (fused [][]Score, p
 // fused (and perParam[i][m] per member) is exactly Match(cands[i]) —
 // every row is computed independently and written at its own index, so
 // worker scheduling cannot affect the output. Rows share per-call
-// backing allocations and are handed off to the caller, never reused. A
-// mismatched candidate yields nil rows.
+// backing allocations and are handed off to the caller, never reused;
+// a one-member ensemble's member row is its fused row, the same slice.
+// A mismatched candidate yields nil rows.
 func (ce *CompiledEnsemble) MatchAllWorkers(cands []MultiCandidate, workers int) (fused [][]Score, perParam [][][]Score) {
 	return ce.matchAll(cands, workers, nil, nil)
 }
@@ -336,8 +352,14 @@ func (ce *CompiledEnsemble) matchAll(cands []MultiCandidate, workers int, own *E
 	fusedBacking := make([]Score, len(cands)*n)
 	memberBacking := make([][]Score, nm)
 	rowBacking := make([][]Score, len(cands)*nm)
-	for m, cdb := range ce.members {
-		memberBacking[m] = make([]Score, len(cands)*cdb.Len())
+	if nm == 1 {
+		// One member's row is the fused row (see fusedSims): share it
+		// rather than store every score twice.
+		memberBacking[0] = fusedBacking
+	} else {
+		for m, cdb := range ce.members {
+			memberBacking[m] = make([]Score, len(cands)*cdb.Len())
+		}
 	}
 	var ready func(int)
 	if emit != nil {

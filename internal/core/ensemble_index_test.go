@@ -8,7 +8,8 @@ import (
 // Fused matching must preserve the ensemble's bit-identity contract:
 // the fused vector is bit for bit the mean of the members' naive
 // Similarity values (naiveFused), and every fused TopK/Best result is
-// its stable ranking.
+// its stable ranking. An ensemble of one is its member: same rows, same
+// ranks, same bits.
 
 // randSigFor is randSig for an arbitrary member parameter.
 func randSigFor(rng *rand.Rand, p Param, spec BinSpec) *Signature {
@@ -81,6 +82,11 @@ func TestEnsembleIndexBitIdentical(t *testing.T) {
 			}
 			e := buildEnsemble(t, measure, params, sigs)
 			ci := e.Compile()
+			// An ensemble of one — compiled from a database, or the compiled
+			// database's own AsEnsemble view — must rank exactly as its member.
+			one := buildEnsemble(t, measure, params[:1], sigs[:1]).Compile()
+			member := one.Members()[0]
+			var ms MatchScratch
 
 			var scratch EnsembleScratch
 			for trial := 0; trial < 10; trial++ {
@@ -110,6 +116,18 @@ func TestEnsembleIndexBitIdentical(t *testing.T) {
 				for _, k := range []int{1, 2, 5, ci.Len(), ci.Len() + 3} {
 					sameScores(t, "TopKInto", exhaustiveTopK(want, k), ci.TopKInto(cand, k, &scratch))
 					sameScores(t, "TopK", exhaustiveTopK(want, k), ci.TopK(cand, k))
+				}
+
+				single := MultiCandidate{Addr: cand.Addr, Sigs: cand.Sigs[:1]}
+				row := append([]Score(nil), member.MatchInto(single.Sigs[0], &ms)...)
+				for _, view := range []*CompiledEnsemble{one, member.AsEnsemble()} {
+					fused, perParam := view.MatchInto(single, &scratch)
+					sameScores(t, "one-member MatchInto", row, fused)
+					sameScores(t, "one-member member row", row, perParam[0])
+					for _, k := range []int{1, 2, 5, member.Len(), member.Len() + 3} {
+						wantK := append([]Score(nil), member.TopKInto(single.Sigs[0], k, &ms)...)
+						sameScores(t, "one-member TopKInto", wantK, view.TopKInto(single, k, &scratch))
+					}
 				}
 			}
 

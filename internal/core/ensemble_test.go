@@ -156,6 +156,10 @@ func TestEnsemblePartialReporting(t *testing.T) {
 	if e.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (only the chatty device is fully known)", e.Len())
 	}
+	// Len counts in place: the trainer calls it per enrollment.
+	if allocs := testing.AllocsPerRun(10, func() { e.Len() }); allocs != 0 {
+		t.Fatalf("Len allocated %v times per call, want 0", allocs)
+	}
 	partial := e.Partial()
 	if len(partial) != 1 || partial[0] != dot11.LocalAddr(2) {
 		t.Fatalf("Partial = %v, want [%v]", partial, dot11.LocalAddr(2))

@@ -194,19 +194,31 @@ func (t *SenderTable) Observe(addr dot11.Addr, class dot11.Class, v float64, now
 }
 
 // ObserveN adds one record's attributed observations for every ensemble
-// member at once: vals[m] is member m's parameter value, applied only
-// where valid[m] is true (a parameter can be undefined for a record —
+// member at once: v0 is member 0's parameter value and more[m-1]
+// member m's (the split matches the sharded engine's batch layout, so
+// a batch entry needs no reassembly), each applied only where bit m of
+// the valid mask is set (a parameter can be undefined for a record —
 // e.g. inter-arrival at a window start — without hiding the record from
-// the members where it is defined). Call only when at least one member
-// is valid, so sender recency, eviction and entry creation stay a
-// deterministic function of the attributed record stream.
+// the members where it is defined; MemberValues computes both). Call
+// only with a non-zero mask, so sender recency, eviction and entry
+// creation stay a deterministic function of the attributed record
+// stream.
 //
 //fp:hotpath test=TestEnsemblePushZeroAllocs
-func (t *SenderTable) ObserveN(addr dot11.Addr, class dot11.Class, vals []float64, valid []bool, now int64) {
-	e := t.entry(addr, now)
-	for m := range t.cfgs {
-		if valid[m] {
-			e.sigs[m].Add(class, vals[m])
+func (t *SenderTable) ObserveN(addr dot11.Addr, class dot11.Class, v0 float64, more []float64, valid uint8, now int64) {
+	if len(more) == 0 {
+		// One member, so the non-zero mask is bit 0: Observe's path,
+		// which keeps a single parameter at its own per-frame cost.
+		t.entry(addr, now).sigs[0].Add(class, v0)
+		return
+	}
+	sigs := t.entry(addr, now).sigs
+	if valid&1 != 0 {
+		sigs[0].Add(class, v0)
+	}
+	for m, v := range more {
+		if valid>>(m+1)&1 != 0 {
+			sigs[m+1].Add(class, v)
 		}
 	}
 }

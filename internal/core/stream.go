@@ -167,10 +167,9 @@ type WindowAccumulator struct {
 	table   *SenderTable
 	cluster *Clusterer // nil = no MAC-randomization clustering
 
-	// Reusable per-record member value buffers (ensemble mode only), so
+	// Reusable per-record member value buffer (ensemble mode only), so
 	// the multi-parameter push path allocates nothing per frame.
-	vals  []float64
-	valid []bool
+	vals []float64
 
 	windows atomic.Int64 // windows emitted so far
 }
@@ -208,7 +207,6 @@ func NewEnsembleAccumulator(window time.Duration, cfgs []Config, emit func(*Wind
 		emit:  emit,
 		table: table,
 		vals:  make([]float64, len(cfgs)),
-		valid: make([]bool, len(cfgs)),
 	}
 	a.cfgs = table.Configs()
 	a.cfg = a.cfgs[0]
@@ -264,7 +262,10 @@ func (a *WindowAccumulator) Push(rec *capture.Record) {
 	if closed, meta := a.clock.Advance(rec.T); closed {
 		a.close(meta)
 	}
-	if a.cfgs != nil {
+	// A one-member ensemble takes the single-parameter path: its one
+	// value lands in member 0's signature either way, and only Drain's
+	// result shape tells the two apart.
+	if len(a.cfgs) > 1 {
 		a.pushMulti(rec)
 	} else if !rec.Sender.IsZero() && (rec.FCSOK || a.cfg.KeepBadFCS) {
 		sender := rec.Sender
@@ -294,32 +295,32 @@ func (a *WindowAccumulator) pushMulti(rec *capture.Record) {
 	if a.cluster != nil {
 		sender = a.cluster.Resolve(rec)
 	}
-	if MemberValues(a.cfgs, rec, a.clock.PrevT(), a.vals, a.valid) {
-		a.table.ObserveN(sender, rec.Class, a.vals, a.valid, rec.T)
+	if valid := MemberValues(a.cfgs, rec, a.clock.PrevT(), a.vals); valid != 0 {
+		a.table.ObserveN(sender, rec.Class, a.vals[0], a.vals[1:], valid, rec.T)
 	}
 }
 
 // MemberValues computes every member's parameter value for one
 // attributable record against the shared inter-arrival context prevT,
-// writing into the caller's vals/valid buffers (len(cfgs) each) and
-// reporting whether any member's value is defined. A member whose
-// configuration keeps bad-FCS frames sees them; the others skip them —
-// per-member attribution, shared context, exactly as per-member
+// writing member m's value into vals[m] (len(cfgs) entries) and
+// returning the validity mask: bit m is set when member m's value is
+// defined, so a zero mask means no member observes the record. A member
+// whose configuration keeps bad-FCS frames sees them; the others skip
+// them — per-member attribution, shared context, exactly as per-member
 // extraction over the same records behaves.
 //
 //fp:hotpath test=TestEnsemblePushZeroAllocs
-func MemberValues(cfgs []Config, rec *capture.Record, prevT int64, vals []float64, valid []bool) bool {
-	any := false
+func MemberValues(cfgs []Config, rec *capture.Record, prevT int64, vals []float64) (valid uint8) {
 	for m := range cfgs {
-		ok := rec.FCSOK || cfgs[m].KeepBadFCS
-		var v float64
-		if ok {
-			v, ok = cfgs[m].Param.Value(rec, prevT)
+		if !rec.FCSOK && !cfgs[m].KeepBadFCS {
+			continue
 		}
-		vals[m], valid[m] = v, ok
-		any = any || ok
+		if v, ok := cfgs[m].Param.Value(rec, prevT); ok {
+			vals[m] = v
+			valid |= 1 << m
+		}
 	}
-	return any
+	return valid
 }
 
 // Flush closes the currently open window, if any. The next pushed

@@ -40,8 +40,8 @@ const (
 	// carries when Options.TopK / ShardedOptions.TopK is zero.
 	DefaultTopK = 5
 	// FullVector, as Options.TopK / ShardedOptions.TopK, makes verdict
-	// events carry the full similarity vector (and, in ensemble mode,
-	// the per-member vectors) instead of the top k.
+	// events carry the full similarity vector (and, on an ensemble
+	// engine, the per-member vectors) instead of the top k.
 	FullVector = -1
 )
 
@@ -65,7 +65,7 @@ type Options struct {
 	// best-matching references (ranked, ties toward the earlier
 	// reference); 0 selects DefaultTopK. FullVector (any negative value)
 	// carries the full similarity vector instead, plus the per-member
-	// vectors (ParamScores) in ensemble mode; bounded events omit
+	// vectors (ParamScores) on an ensemble engine; bounded events omit
 	// ParamScores. Verdicts and Best are bit-identical either way: the
 	// ranked row is a selection from the same vector, and its first
 	// entry is exactly the full vector's arg-max. What bounding saves is
@@ -155,12 +155,13 @@ type Stats struct {
 // Flush and Close must be called from a single goroutine; SetDB, DB and
 // Stats are safe from any goroutine at any time.
 //
-// An engine runs in one of two modes, fixed at construction: the
-// single-parameter mode (New) matches each window against a CompiledDB,
-// the ensemble mode (NewEnsemble) extracts every member parameter in
-// one pass and matches against a CompiledEnsemble, emitting fused plus
-// per-member score vectors. Apart from the database type the contract
-// is identical.
+// Every engine runs one path: it extracts its member parameters in one
+// pass and matches each window against a CompiledEnsemble, emitting
+// fused plus per-member score vectors. A single parameter (New) is an
+// ensemble of one — its fused vector is the parameter's own, bit for
+// bit — and differs only at the API edge: its verdict events carry Sig
+// instead of Sigs and ParamScores, and the accessors answer in the
+// CompiledDB shape (SetDB, DB) rather than the ensemble one.
 //
 // A closed window's verdicts stream: each is delivered as soon as its
 // candidate and every earlier candidate of the window are matched,
@@ -170,13 +171,9 @@ type Stats struct {
 // then WindowClosed, then the trainer's events — and the sink is only
 // ever called from the pushing goroutine, never concurrently.
 type Engine struct {
-	cfg   core.Config
-	cfgs  []core.Config // ensemble members; nil in single-parameter mode
-	multi bool
-	opts  Options
-	acc   *core.WindowAccumulator
-	db    atomic.Pointer[core.CompiledDB]
-	edb   atomic.Pointer[core.CompiledEnsemble]
+	refSet
+	opts Options
+	acc  *core.WindowAccumulator
 
 	closed  bool
 	startNs atomic.Int64 // wall clock of the first push, unix ns
@@ -201,30 +198,7 @@ type Engine struct {
 // database is installed with SetDB). A non-nil db must have been
 // compiled from the same parameter and bin shape as cfg.
 func New(cfg core.Config, db *core.CompiledDB, opts Options) (*Engine, error) {
-	if opts.Window == 0 {
-		opts.Window = core.DefaultWindow
-	}
-	if opts.TopK == 0 {
-		opts.TopK = DefaultTopK
-	}
-	e := &Engine{opts: opts}
-	e.acc = core.NewWindowAccumulator(opts.Window, cfg, e.handleWindow)
-	e.acc.SetLimits(opts.Limits)
-	e.acc.SetClusterer(opts.Cluster)
-	e.cfg = e.acc.Config() // defaults materialised
-	if opts.Trainer != nil {
-		if db != nil {
-			return nil, fmt.Errorf("engine: both db and Options.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom)")
-		}
-		if err := opts.Trainer.bind(e, e.cfg); err != nil {
-			return nil, err
-		}
-		db = opts.Trainer.Compiled()
-	}
-	if err := e.SetDB(db); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return newEngine([]core.Config{cfg}, true, asEnsemble(db), opts)
 }
 
 // NewEnsemble creates a multi-parameter engine: every member parameter
@@ -238,13 +212,19 @@ func New(cfg core.Config, db *core.CompiledDB, opts Options) (*Engine, error) {
 // (Scores; with FullVector the whole fused vector plus the per-member
 // vectors in ParamScores) and the per-member signatures (Sigs).
 func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (*Engine, error) {
+	return newEngine(cfgs, false, edb, opts)
+}
+
+// newEngine builds the one engine behind New and NewEnsemble.
+func newEngine(cfgs []core.Config, single bool, refs *core.CompiledEnsemble, opts Options) (*Engine, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
 	}
 	if opts.TopK == 0 {
 		opts.TopK = DefaultTopK
 	}
-	e := &Engine{opts: opts, multi: true}
+	e := &Engine{opts: opts}
+	e.single = single
 	acc, err := core.NewEnsembleAccumulator(opts.Window, cfgs, e.handleWindow)
 	if err != nil {
 		return nil, err
@@ -253,39 +233,72 @@ func NewEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts Options) (
 	e.acc.SetLimits(opts.Limits)
 	e.acc.SetClusterer(opts.Cluster)
 	e.cfgs = e.acc.Configs() // defaults materialised
-	e.cfg = e.cfgs[0]
-	if opts.Trainer != nil {
-		if edb != nil {
-			return nil, fmt.Errorf("engine: both db and Options.Trainer set — the trainer owns the reference set (seed it with NewEnsembleTrainerFrom)")
-		}
-		if err := opts.Trainer.bindEnsemble(e, e.cfgs); err != nil {
-			return nil, err
-		}
-		edb = opts.Trainer.CompiledEnsemble()
+	if refs, err = opts.Trainer.attach(e, e.cfgs, refs); err != nil {
+		return nil, err
 	}
-	if err := e.SetEnsembleDB(edb); err != nil {
+	if err := e.install(refs); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
+// asEnsemble lifts a single-parameter database into the ensemble of one
+// the engines run on (nil stays nil: extraction-only).
+func asEnsemble(db *core.CompiledDB) *core.CompiledEnsemble {
+	if db == nil {
+		return nil
+	}
+	return db.AsEnsemble()
+}
+
+// refSet is the reference half both engines embed: the member
+// configurations, the installed compiled ensemble, and the single bit,
+// which marks an engine built by New or NewSharded. The bit is read
+// only by these shape accessors and where verdict events are built.
+type refSet struct {
+	cfgs   []core.Config
+	single bool
+	refs   atomic.Pointer[core.CompiledEnsemble]
+}
+
 // Config returns the extraction configuration with defaults materialised
-// (the first member's, in ensemble mode).
-func (e *Engine) Config() core.Config { return e.cfg }
+// (the first member's, on an ensemble engine).
+func (r *refSet) Config() core.Config { return r.cfgs[0] }
 
 // Configs returns every member configuration with defaults
 // materialised, or nil for a single-parameter engine.
-func (e *Engine) Configs() []core.Config { return e.acc.Configs() }
+func (r *refSet) Configs() []core.Config { return shapeConfigs(r.single, r.cfgs) }
 
-// checkShape verifies a database was compiled from the engine's
-// parameter and bin shape.
-func checkShape(cfg core.Config, db *core.CompiledDB) error {
-	if db != nil {
-		if c := db.Config(); c.Param != cfg.Param || c.Bins != cfg.Bins {
-			return fmt.Errorf("engine: database shape %v/%v does not match engine %v/%v",
-				c.Param, c.Bins, cfg.Param, cfg.Bins)
+// shapeConfigs is the Configs accessor shared by engines and trainers:
+// a copy of the members, or nil in the single-parameter shape.
+func shapeConfigs(single bool, cfgs []core.Config) []core.Config {
+	if single {
+		return nil
+	}
+	return append([]core.Config(nil), cfgs...)
+}
+
+// install shape-checks and atomically swaps the references the next
+// closed window is matched against — the one swap behind SetDB,
+// SetEnsembleDB and the trainer's promotions. On mismatch the previous
+// references stay installed. A sharded engine's shards pick the new
+// references up at their next window close; a swap that races a
+// closing window may match that window's shards against different
+// references, so swap between windows when the distinction matters.
+func (r *refSet) install(refs *core.CompiledEnsemble) error {
+	if refs != nil {
+		got := refs.Configs()
+		if len(got) != len(r.cfgs) {
+			return fmt.Errorf("engine: ensemble of %d members does not match engine's %d", len(got), len(r.cfgs))
+		}
+		for i, cfg := range r.cfgs {
+			if got[i].Param != cfg.Param || got[i].Bins != cfg.Bins {
+				return fmt.Errorf("engine: database shape %v/%v does not match engine %v/%v",
+					got[i].Param, got[i].Bins, cfg.Param, cfg.Bins)
+			}
 		}
 	}
+	r.refs.Store(refs)
 	return nil
 }
 
@@ -295,58 +308,50 @@ func checkShape(cfg core.Config, db *core.CompiledDB) error {
 // share the engine's parameter and bin shape; on mismatch the previous
 // database stays installed. Ensemble engines swap through
 // SetEnsembleDB instead.
-func (e *Engine) SetDB(db *core.CompiledDB) error {
-	if e.multi {
+func (r *refSet) SetDB(db *core.CompiledDB) error {
+	if !r.single {
 		return fmt.Errorf("engine: ensemble engine takes a compiled ensemble (SetEnsembleDB)")
 	}
-	if err := checkShape(e.cfg, db); err != nil {
-		return err
-	}
-	e.db.Store(db)
-	return nil
+	return r.install(asEnsemble(db))
 }
 
 // DB returns the currently installed reference database, or nil (always
 // nil on an ensemble engine; see EnsembleDB).
-func (e *Engine) DB() *core.CompiledDB { return e.db.Load() }
-
-// checkEnsembleShape verifies a compiled ensemble was built from the
-// engine's member parameters and bin shapes.
-func checkEnsembleShape(cfgs []core.Config, edb *core.CompiledEnsemble) error {
-	if edb == nil {
-		return nil
-	}
-	got := edb.Configs()
-	if len(got) != len(cfgs) {
-		return fmt.Errorf("engine: ensemble of %d members does not match engine's %d", len(got), len(cfgs))
-	}
-	for i := range cfgs {
-		if got[i].Param != cfgs[i].Param || got[i].Bins != cfgs[i].Bins {
-			return fmt.Errorf("engine: ensemble member %d shape %v/%v does not match engine %v/%v",
-				i, got[i].Param, got[i].Bins, cfgs[i].Param, cfgs[i].Bins)
-		}
+func (r *refSet) DB() *core.CompiledDB {
+	if refs := r.refs.Load(); r.single && refs != nil {
+		return refs.Members()[0]
 	}
 	return nil
 }
 
 // SetEnsembleDB atomically swaps the compiled ensemble the next closed
-// window is fuse-matched against — SetDB for the ensemble mode. A nil
+// window is fuse-matched against — SetDB for ensemble engines. A nil
 // edb switches the engine to extraction-only; a mismatched one leaves
 // the previous ensemble installed.
-func (e *Engine) SetEnsembleDB(edb *core.CompiledEnsemble) error {
-	if !e.multi {
+func (r *refSet) SetEnsembleDB(edb *core.CompiledEnsemble) error {
+	if r.single {
 		return fmt.Errorf("engine: single-parameter engine takes a compiled database (SetDB)")
 	}
-	if err := checkEnsembleShape(e.cfgs, edb); err != nil {
-		return err
-	}
-	e.edb.Store(edb)
-	return nil
+	return r.install(edb)
 }
 
 // EnsembleDB returns the currently installed compiled ensemble, or nil
 // (always nil on a single-parameter engine).
-func (e *Engine) EnsembleDB() *core.CompiledEnsemble { return e.edb.Load() }
+func (r *refSet) EnsembleDB() *core.CompiledEnsemble {
+	if r.single {
+		return nil
+	}
+	return r.refs.Load()
+}
+
+// indexStats describes the installed references' match index, summed
+// across members (zero with none installed).
+func (r *refSet) indexStats() core.IndexStats {
+	if refs := r.refs.Load(); refs != nil {
+		return refs.IndexStats()
+	}
+	return core.IndexStats{}
+}
 
 // Push ingests one record. The record is not retained. Crossing a
 // window boundary synchronously matches and emits the completed window
@@ -405,13 +410,7 @@ func (e *Engine) Stats() Stats {
 	s.Candidates = s.Matched + s.Unknown
 	s.Frames = e.frames.Load()
 	s.LiveSenders = e.acc.LiveSenders()
-	if e.multi {
-		if edb := e.edb.Load(); edb != nil {
-			s.Index = edb.IndexStats()
-		}
-	} else if db := e.db.Load(); db != nil {
-		s.Index = db.IndexStats()
-	}
+	s.Index = e.indexStats()
 	if ns := e.startNs.Load(); ns != 0 {
 		s.Elapsed = time.Duration(time.Now().UnixNano() - ns) //fp:wallclock stats-only elapsed/throughput; no event output depends on it
 		if s.Elapsed > 0 {
@@ -425,13 +424,12 @@ func (e *Engine) Stats() Stats {
 // window delivery and trainer steps). Safe from any goroutine.
 func (e *Engine) Health() Health { return e.health.snapshot() }
 
-// handleWindow matches one closed window's candidates — fused in
-// ensemble mode — and emits its events. It runs on the pushing
-// goroutine, under panic supervision: a panic — a faulting sink, a
-// matching fault on any worker — loses that window's remaining events
-// (counted in Health as an engine panic) but not the stream; the
-// accumulator has already rolled to the next window and Push keeps
-// working.
+// handleWindow matches one closed window's candidates and emits its
+// events. It runs on the pushing goroutine, under panic supervision: a
+// panic — a faulting sink, a matching fault on any worker — loses that
+// window's remaining events (counted in Health as an engine panic) but
+// not the stream; the accumulator has already rolled to the next window
+// and Push keeps working.
 //
 // Verdicts stream: each is emitted, on this goroutine and in window
 // order, as soon as its candidate and every candidate before it are
@@ -447,22 +445,13 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 	}()
 	sink := e.opts.Sink
 	matchedN, unknownN := 0, 0
-	count := func(matched bool) {
-		if matched {
+	streamRows(e.refs.Load(), e.opts.TopK, e.opts.Workers, w.Multi, func(i int, fused []core.Score, perParam [][]core.Score) {
+		if emitVerdict(sink, e.opts.Threshold, e.single, &w.Multi[i], fused, perParam) {
 			matchedN++
 		} else {
 			unknownN++
 		}
-	}
-	if e.multi {
-		streamRowsMulti(e.edb.Load(), e.opts.TopK, e.opts.Workers, w.Multi, func(i int, fused []core.Score, perParam [][]core.Score) {
-			count(emitVerdictMulti(sink, e.opts.Threshold, &w.Multi[i], fused, perParam))
-		})
-	} else {
-		streamRows(e.db.Load(), e.opts.TopK, e.opts.Workers, w.Candidates, func(i int, scores []core.Score) {
-			count(emitVerdict(sink, e.opts.Threshold, &w.Candidates[i], scores))
-		})
-	}
+	})
 
 	evictedN := 0
 	for _, d := range w.Dropped {
@@ -472,14 +461,14 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 		if sink != nil {
 			sink.HandleEvent(CandidateDropped{
 				Window: w.Index, Addr: d.Addr,
-				Observations: d.Observations, Minimum: e.cfg.MinObservations,
+				Observations: d.Observations, Minimum: e.cfgs[0].MinObservations,
 				Evicted: d.Evicted,
 			})
 		}
 	}
 	// Evictions beyond the per-window record cap carry no individual
 	// event but count everywhere a total does.
-	candsN := len(w.Candidates) + len(w.Multi)
+	candsN := len(w.Multi)
 	droppedN := len(w.Dropped) + int(w.EvictedSilently)
 	evictedN += int(w.EvictedSilently)
 	if sink != nil {
@@ -501,61 +490,26 @@ func (e *Engine) handleWindow(w *core.WindowResult) {
 
 	// Enrollment happens after the window's own events: the trainer's
 	// promotions swap the database the *next* window is matched against,
-	// which is exactly per-window batch training's visibility. The
-	// trainer step is supervised separately, so a panic in it loses this
-	// window's enrollment (a trainer fault in Health) but not the window.
-	if tr := e.opts.Trainer; tr != nil {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.health.recordPanic(e.opts.HealthSink, "trainer", -1, r)
-				}
-			}()
-			emit := func(ev Event) {
-				if sink != nil {
-					sink.HandleEvent(ev)
-				}
-			}
-			if e.multi {
-				tr.observeWindowMulti(w.Index, w.Multi, emit)
-			} else {
-				tr.observeWindow(w.Index, w.Candidates, emit)
-			}
-		}()
-	}
+	// which is exactly per-window batch training's visibility.
+	e.opts.Trainer.step(w.Index, w.Multi, sink, &e.health, e.opts.HealthSink)
 }
 
-// streamRows matches a window's candidates against db across workers
-// and calls emit(i, scores) on the calling goroutine for every
+// streamRows matches a window's candidates against refs across workers
+// and calls emit(i, fused, perParam) on the calling goroutine for every
 // candidate in window order, each as soon as its row and every row
-// before it are matched — the top topK rows, or full vectors for
-// FullVector. With no database installed every candidate gets nil
-// scores. Rows are handed off to emit and never reused, so events may
-// retain them.
-func streamRows(db *core.CompiledDB, topK, workers int, cands []core.Candidate, emit func(i int, scores []core.Score)) {
+// before it are matched — the top topK fused rows, or the full fused
+// and per-member vectors for FullVector. With no references installed
+// every candidate gets nil scores. Rows are handed off to emit and
+// never reused, so events may retain them.
+func streamRows(refs *core.CompiledEnsemble, topK, workers int, cands []core.MultiCandidate, emit func(i int, fused []core.Score, perParam [][]core.Score)) {
 	switch {
-	case db == nil || db.Len() == 0:
-		for i := range cands {
-			emit(i, nil)
-		}
-	case topK > 0:
-		db.TopKAllStream(cands, topK, workers, emit)
-	default:
-		db.MatchAllStream(cands, workers, emit)
-	}
-}
-
-// streamRowsMulti is streamRows for an ensemble: the top topK fused
-// rows, or the full fused and per-member vectors for FullVector.
-func streamRowsMulti(edb *core.CompiledEnsemble, topK, workers int, cands []core.MultiCandidate, emit func(i int, fused []core.Score, perParam [][]core.Score)) {
-	switch {
-	case edb == nil || edb.Len() == 0:
+	case refs == nil || refs.Len() == 0:
 		for i := range cands {
 			emit(i, nil, nil)
 		}
 	case topK > 0:
-		edb.TopKAllStream(cands, topK, workers, func(i int, fused []core.Score) { emit(i, fused, nil) })
+		refs.TopKAllStream(cands, topK, workers, func(i int, fused []core.Score) { emit(i, fused, nil) })
 	default:
-		edb.MatchAllStream(cands, workers, emit)
+		refs.MatchAllStream(cands, workers, emit)
 	}
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -484,4 +485,136 @@ func TestEnsembleTrainerRefusesPartialSeed(t *testing.T) {
 	if trainer.Database() != nil || trainer.Compiled() != nil {
 		t.Fatal("ensemble trainer leaks single-parameter accessors")
 	}
+}
+
+// TestEnsembleOfOneIdentical pins the single-parameter engines as the
+// one-member case of the ensemble ones: over the office and conference
+// traces, at top-5 and FullVector, New and NewEnsemble over the same
+// one configuration — and NewSharded and NewShardedEnsemble at 1 and 3
+// shards — emit the same verdicts with bit-identical Best and Scores,
+// the same drops and the same WindowClosed summaries. Only the event
+// shape differs: Sig on a single-parameter engine, Sigs (and, under
+// FullVector, a ParamScores vector equal to Scores) on an ensemble one.
+func TestEnsembleOfOneIdentical(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		conference bool
+		cfg        core.Config
+	}{
+		{false, core.Config{Param: core.ParamInterArrival, MinObservations: 10}},
+		{true, core.Config{Param: core.ParamTxTime, MinObservations: 10}},
+	}
+	for _, c := range cases {
+		train, valid := core.Split(buildScenario(t, c.conference), 3*time.Minute)
+		db := core.NewDatabase(c.cfg, core.MeasureCosine)
+		if err := db.Train(train); err != nil {
+			t.Fatal(err)
+		}
+		ens, err := core.NewEnsembleFrom(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdb, cedb := db.Compile(), ens.Compile()
+		cfgs := []core.Config{c.cfg}
+		for _, topK := range []int{engine.DefaultTopK, engine.FullVector} {
+			label := func(form string) string {
+				return fmt.Sprintf("%v/topk=%d/%s", c.cfg.Param, topK, form)
+			}
+			want := &collectSink{}
+			opts := engine.Options{Window: 2 * time.Minute, Threshold: 0.5, TopK: topK, Sink: want}
+			single, err := engine.New(c.cfg, cdb, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single.PushTrace(valid)
+			single.Close()
+
+			got := &collectSink{}
+			opts.Sink = got
+			one, err := engine.NewEnsemble(cfgs, cedb, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one.PushTrace(valid)
+			one.Close()
+			sameAsSingle(t, label("serial"), got.events, want.events, false)
+
+			for _, shards := range []int{1, 3} {
+				for _, ensemble := range []bool{false, true} {
+					got := &collectSink{}
+					sopts := engine.ShardedOptions{Window: 2 * time.Minute, Threshold: 0.5, TopK: topK, Shards: shards, Sink: got}
+					var s *engine.Sharded
+					if ensemble {
+						s, err = engine.NewShardedEnsemble(cfgs, cedb, sopts)
+					} else {
+						s, err = engine.NewSharded(c.cfg, cdb, sopts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.PushTrace(valid)
+					s.Close()
+					sameAsSingle(t, label(fmt.Sprintf("shards=%d/ensemble=%v", shards, ensemble)), got.events, want.events, !ensemble)
+				}
+			}
+		}
+	}
+}
+
+// sameAsSingle compares an event stream against a single-parameter
+// engine's: identical events, with verdicts in the single shape when
+// single is set and in the one-member ensemble shape otherwise.
+func sameAsSingle(t *testing.T, label string, got, want []engine.Event, single bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, want %d", label, len(got), len(want))
+	}
+	verdicts := 0
+	for i := range want {
+		if !single {
+			got[i] = asSingleShape(t, label, got[i])
+		}
+		switch got[i].(type) {
+		case engine.CandidateMatched, engine.UnknownDevice:
+			verdicts++
+		}
+		sameEvent(t, label, got[i], want[i])
+	}
+	if verdicts == 0 {
+		t.Fatalf("%s: no verdicts compared", label)
+	}
+}
+
+// asSingleShape rewrites a one-member ensemble verdict into the
+// single-parameter shape, checking the parts the rewrite drops.
+func asSingleShape(t *testing.T, label string, ev engine.Event) engine.Event {
+	t.Helper()
+	check := func(sigs []*core.Signature, scores []core.Score, paramScores [][]core.Score) {
+		if len(sigs) != 1 {
+			t.Fatalf("%s: %d member signatures, want 1", label, len(sigs))
+		}
+		if paramScores != nil {
+			if len(paramScores) != 1 {
+				t.Fatalf("%s: %d member vectors, want 1", label, len(paramScores))
+			}
+			sameScores(t, label+" ParamScores", paramScores[0], scores)
+		}
+	}
+	switch ev := ev.(type) {
+	case engine.CandidateMatched:
+		if ev.Sig != nil {
+			t.Fatalf("%s: ensemble verdict carries Sig", label)
+		}
+		check(ev.Sigs, ev.Scores, ev.ParamScores)
+		ev.Sig, ev.Sigs, ev.ParamScores = ev.Sigs[0], nil, nil
+		return ev
+	case engine.UnknownDevice:
+		if ev.Sig != nil {
+			t.Fatalf("%s: ensemble verdict carries Sig", label)
+		}
+		check(ev.Sigs, ev.Scores, ev.ParamScores)
+		ev.Sig, ev.Sigs, ev.ParamScores = ev.Sigs[0], nil, nil
+		return ev
+	}
+	return ev
 }

@@ -44,12 +44,15 @@ type WindowClosed struct {
 type CandidateMatched struct {
 	Window int
 	Addr   dot11.Addr
-	// Sig is the candidate's window signature (single-parameter
-	// engines; nil in ensemble mode, which carries Sigs instead).
+	// Sig is the candidate's window signature on an engine built for
+	// one parameter (New, NewSharded); nil on an ensemble engine.
 	Sig *core.Signature
-	// Sigs are the candidate's per-member window signatures in an
-	// ensemble engine, aligned with the ensemble's Params (nil on
-	// single-parameter engines).
+	// Sigs are the candidate's per-member window signatures on an
+	// ensemble engine (NewEnsemble, NewShardedEnsemble — one member
+	// included), aligned with the ensemble's Params; nil when Sig is
+	// set. Every engine matches an ensemble, a single parameter being
+	// the one-member case; the two fields are the two shapes of its
+	// member signatures.
 	Sigs []*core.Signature
 	// Scores is the top k of the similarity vector (Algorithm 1), ranked
 	// by score with ties toward the earlier reference (k is the engine's
@@ -61,7 +64,9 @@ type CandidateMatched struct {
 	// ParamScores are the per-member similarity vectors behind a fused
 	// Scores, aligned with the ensemble's Params; each member's vector
 	// runs over that member's own reference order. Only carried with
-	// TopK = FullVector on an ensemble engine; nil otherwise.
+	// TopK = FullVector on an ensemble engine; nil otherwise (a
+	// single-parameter engine's one member vector is Scores itself).
+	// On a one-member ensemble ParamScores[0] is the Scores slice.
 	ParamScores [][]core.Score
 	// Best is the arg-max entry of the similarity vector: Scores[0] when
 	// bounded.
@@ -70,7 +75,7 @@ type CandidateMatched struct {
 
 // Observations returns the candidate's observation count: the single
 // signature's on a single-parameter engine, the maximum across member
-// signatures in ensemble mode (members differ only through
+// signatures on an ensemble engine (members differ only through
 // per-parameter value validity).
 func (ev CandidateMatched) Observations() uint64 { return eventObs(ev.Sig, ev.Sigs) }
 
@@ -82,7 +87,8 @@ type UnknownDevice struct {
 	Window int
 	Addr   dot11.Addr
 	// Sig and Sigs carry the window signature(s), exactly as on
-	// CandidateMatched (Sig single-parameter, Sigs ensemble).
+	// CandidateMatched (Sig on a single-parameter engine, Sigs on an
+	// ensemble one).
 	Sig  *core.Signature
 	Sigs []*core.Signature
 	// Scores and ParamScores are the top k (or, with FullVector, the
@@ -174,59 +180,37 @@ func (DBSwapped) event()          {}
 // event-construction path shared by the serial and sharded engines, so
 // their streams cannot drift apart — and reports whether the candidate
 // matched. A nil sink still computes the verdict, keeping counters
-// exact.
-func emitVerdict(sink Sink, threshold float64, c *core.Candidate, scores []core.Score) bool {
-	best := core.Score{Sim: -1}
-	for _, sc := range scores {
-		if sc.Sim > best.Sim {
-			best = sc
-		}
-	}
-	if hasBest := len(scores) > 0; hasBest && best.Sim >= threshold {
-		if sink != nil {
-			sink.HandleEvent(CandidateMatched{
-				Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sig,
-				Scores: scores, Best: best,
-			})
-		}
-		return true
-	}
-	if sink != nil {
-		ev := UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: c.Sig, Scores: scores}
-		if len(scores) > 0 {
-			ev.Best, ev.HasBest = best, true
-		}
-		sink.HandleEvent(ev)
-	}
-	return false
-}
-
-// emitVerdictMulti is emitVerdict for an ensemble engine's fused
-// verdicts — the same single event-construction path, shared by the
-// serial and sharded engines, over the fused score vector.
-func emitVerdictMulti(sink Sink, threshold float64, c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) bool {
+// exact. single selects the single-parameter event shape: the one
+// member's signature in Sig, no Sigs and no ParamScores (its fused
+// vector is the member's own).
+func emitVerdict(sink Sink, threshold float64, single bool, c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) bool {
 	best := core.Score{Sim: -1}
 	for _, sc := range fused {
 		if sc.Sim > best.Sim {
 			best = sc
 		}
 	}
-	if hasBest := len(fused) > 0; hasBest && best.Sim >= threshold {
-		if sink != nil {
-			sink.HandleEvent(CandidateMatched{
-				Window: c.Window, Addr: dot11.Addr(c.Addr), Sigs: c.Sigs,
-				Scores: fused, ParamScores: perParam, Best: best,
-			})
-		}
+	matched := len(fused) > 0 && best.Sim >= threshold
+	if sink == nil {
+		return matched
+	}
+	var sig *core.Signature
+	sigs := c.Sigs
+	if single {
+		sig, sigs, perParam = sigs[0], nil, nil
+	}
+	if matched {
+		sink.HandleEvent(CandidateMatched{
+			Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: sig, Sigs: sigs,
+			Scores: fused, ParamScores: perParam, Best: best,
+		})
 		return true
 	}
-	if sink != nil {
-		ev := UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sigs: c.Sigs, Scores: fused, ParamScores: perParam}
-		if len(fused) > 0 {
-			ev.Best, ev.HasBest = best, true
-		}
-		sink.HandleEvent(ev)
+	ev := UnknownDevice{Window: c.Window, Addr: dot11.Addr(c.Addr), Sig: sig, Sigs: sigs, Scores: fused, ParamScores: perParam}
+	if len(fused) > 0 {
+		ev.Best, ev.HasBest = best, true
 	}
+	sink.HandleEvent(ev)
 	return false
 }
 

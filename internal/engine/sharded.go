@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,26 +107,17 @@ type ShardedOptions struct {
 const shardBatch = 256
 
 // shardObs is one attributed observation, routed to the sender's shard.
-// The router has already applied the attribution rules and computed the
-// parameter value against the global inter-arrival context, so sharding
-// cannot change any observation's value.
+// The router has already applied the attribution rules and computed
+// every member's parameter value against the global inter-arrival
+// context, so sharding cannot change any observation's value. Member
+// 0's value travels inline in v, the rest in the batch's slab
+// (shardMsg.more); valid is their core.MemberValues mask.
 type shardObs struct {
 	addr  dot11.Addr
 	class dot11.Class
+	valid uint8
+	t     int64
 	v     float64
-	t     int64
-}
-
-// shardMultiObs is shardObs for an ensemble engine: one record's
-// parameter values for every member, computed by the router against the
-// shared inter-arrival context. The value arrays are sized by
-// core.MaxEnsembleMembers so batches stay flat, recycled memory.
-type shardMultiObs struct {
-	addr  dot11.Addr
-	class dot11.Class
-	t     int64
-	vals  [core.MaxEnsembleMembers]float64
-	valid [core.MaxEnsembleMembers]bool
 }
 
 // shardMsg is the SPSC queue element: a batch of observations, plus an
@@ -135,15 +125,17 @@ type shardMultiObs struct {
 // the router's core.WindowMeta — the one global window clock — so
 // window indices, bounds and frame counts stay consistent across
 // shards. Messages are recycled through a per-shard free list, so the
-// steady state moves no memory to the garbage collector. Ensemble
-// engines batch into mentries (allocated once per message at
-// construction); single-parameter engines into entries.
+// steady state moves no memory to the garbage collector.
 type shardMsg struct {
 	n        int
 	closeWin bool
 	meta     core.WindowMeta
 	entries  [shardBatch]shardObs
-	mentries []shardMultiObs // ensemble mode only; len shardBatch
+	// more is the batch's value slab for the members after the first,
+	// sized by member count at construction: entry i's members 1..m-1
+	// are more[i*(m-1) : (i+1)*(m-1)]. A single parameter needs none,
+	// so its batch entry is as compact as one value allows.
+	more []float64
 }
 
 // shard is one partition: an SPSC queue pair (ch carries filled
@@ -162,11 +154,11 @@ type shard struct {
 // shardSegment is one shard's slice of a closed window, sent to the
 // merger: candidates and dropped senders (each sorted by address) plus
 // the shard-local match rows (fused, plus per-member vectors under
-// FullVector, in ensemble mode). The segment ships as soon as the
-// shard's table is drained; the shard then writes rows[i] (and
-// perParam[i]) one candidate at a time and marks each in prog, which
-// the merger waits on before reading a row. Without matching (a trainer
-// defers it to the merger) rows, perParam and prog stay nil.
+// FullVector). The segment ships as soon as the shard's table is
+// drained; the shard then writes rows[i] (and perParam[i]) one
+// candidate at a time and marks each in prog, which the merger waits
+// on before reading a row. Without matching (a trainer defers it to the
+// merger) rows, perParam and prog stay nil.
 type shardSegment struct {
 	meta     core.WindowMeta
 	res      core.WindowResult
@@ -189,23 +181,20 @@ type shardSegment struct {
 // flushed windows has been handed to the sink, and the sink must not
 // call back into Push.
 //
-// Because the router computes each observation's parameter value
-// against the global inter-arrival context and broadcasts one global
-// window clock, the merged event stream is identical to the serial
-// Engine's over the same records — same events, same order — for every
-// shard count, as long as no observations are dropped (Block policy,
-// no SenderLimits).
+// Because the router computes each observation's member values against
+// the global inter-arrival context and broadcasts one global window
+// clock, the merged event stream is identical to the serial Engine's
+// over the same records — same events, same order — for every shard
+// count, as long as no observations are dropped (Block policy, no
+// SenderLimits). Like Engine it runs one path, a single parameter being
+// an ensemble of one (NewSharded), shaped only at the API edge.
 //
 // Verdicts stream as on the serial Engine: each shard ships its slice
 // of a closed window before matching it, and the merger delivers each
 // verdict, in merged order, as soon as its shard has matched that row.
 type Sharded struct {
-	cfg   core.Config
-	cfgs  []core.Config // ensemble members; nil in single-parameter mode
-	multi bool
-	opts  ShardedOptions
-	db    atomic.Pointer[core.CompiledDB]
-	edb   atomic.Pointer[core.CompiledEnsemble]
+	refSet
+	opts ShardedOptions
 
 	shards []*shard
 	segCh  chan shardSegment
@@ -219,13 +208,15 @@ type Sharded struct {
 
 	// Router state, owned by the pushing goroutine. The clock is the
 	// same implementation WindowAccumulator runs on, so serial and
-	// sharded windowing cannot drift apart. vals/valid are the reusable
-	// per-record member value buffers of the ensemble mode.
+	// sharded windowing cannot drift apart. vals holds one record's
+	// member values; it lives in the engine, beside the other state the
+	// router writes per frame, because a small heap buffer written per
+	// frame can share a cache line with signature state a shard writes
+	// (measured at up to 2.3× the push cost).
 	closed bool
 	clock  core.WindowClock
 	closes uint64 // window closes broadcast so far
-	vals   []float64
-	valid  []bool
+	vals   [core.MaxEnsembleMembers]float64
 
 	startNs       atomic.Int64
 	frames        atomic.Uint64
@@ -256,25 +247,7 @@ type Sharded struct {
 // until SetDB installs one). A non-nil db must share cfg's parameter
 // and bin shape.
 func NewSharded(cfg core.Config, db *core.CompiledDB, opts ShardedOptions) (*Sharded, error) {
-	s, err := newSharded([]core.Config{cfg}, false, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Trainer != nil {
-		if db != nil {
-			return nil, fmt.Errorf("engine: both db and ShardedOptions.Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom)")
-		}
-		if err := opts.Trainer.bind(s, s.cfg); err != nil {
-			return nil, err
-		}
-		db = opts.Trainer.Compiled()
-		s.deferMatch = true
-	}
-	if err := s.SetDB(db); err != nil {
-		return nil, err
-	}
-	s.start()
-	return s, nil
+	return newSharded([]core.Config{cfg}, true, asEnsemble(db), opts)
 }
 
 // NewShardedEnsemble creates a sharded multi-parameter engine: the
@@ -286,29 +259,12 @@ func NewSharded(cfg core.Config, db *core.CompiledDB, opts ShardedOptions) (*Sha
 // stream is identical to the serial ensemble engine's at every shard
 // count, exactly like the single-parameter engines.
 func NewShardedEnsemble(cfgs []core.Config, edb *core.CompiledEnsemble, opts ShardedOptions) (*Sharded, error) {
-	s, err := newSharded(cfgs, true, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Trainer != nil {
-		if edb != nil {
-			return nil, fmt.Errorf("engine: both db and ShardedOptions.Trainer set — the trainer owns the reference set (seed it with NewEnsembleTrainerFrom)")
-		}
-		if err := opts.Trainer.bindEnsemble(s, s.cfgs); err != nil {
-			return nil, err
-		}
-		edb = opts.Trainer.CompiledEnsemble()
-		s.deferMatch = true
-	}
-	if err := s.SetEnsembleDB(edb); err != nil {
-		return nil, err
-	}
-	s.start()
-	return s, nil
+	return newSharded(cfgs, false, edb, opts)
 }
 
-// newSharded builds the router, shards and queues shared by both modes.
-func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, error) {
+// newSharded builds the one sharded engine behind NewSharded and
+// NewShardedEnsemble: router, shards, queues, references, goroutines.
+func newSharded(cfgs []core.Config, single bool, refs *core.CompiledEnsemble, opts ShardedOptions) (*Sharded, error) {
 	if opts.Window == 0 {
 		opts.Window = core.DefaultWindow
 	}
@@ -323,22 +279,17 @@ func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, 
 	}
 	s := &Sharded{
 		opts:  opts,
-		multi: multi,
 		clock: core.NewWindowClock(opts.Window),
 	}
+	s.single = single
 	s.cond = sync.NewCond(&s.mu)
 
 	batches := (opts.QueueLen + shardBatch - 1) / shardBatch
 	s.shards = make([]*shard, opts.Shards)
 	for i := range s.shards {
-		var table *core.SenderTable
-		if multi {
-			var err error
-			if table, err = core.NewEnsembleSenderTable(cfgs, opts.Limits); err != nil {
-				return nil, err
-			}
-		} else {
-			table = core.NewSenderTable(cfgs[0], opts.Limits)
+		table, err := core.NewEnsembleSenderTable(cfgs, opts.Limits)
+		if err != nil {
+			return nil, err
 		}
 		sh := &shard{
 			ch:    make(chan *shardMsg, batches),
@@ -349,19 +300,23 @@ func newSharded(cfgs []core.Config, multi bool, opts ShardedOptions) (*Sharded, 
 		// and one for the shard goroutine to drain.
 		for j := 0; j < batches+2; j++ {
 			msg := &shardMsg{}
-			if multi {
-				msg.mentries = make([]shardMultiObs, shardBatch)
+			if len(cfgs) > 1 {
+				msg.more = make([]float64, shardBatch*(len(cfgs)-1))
 			}
 			sh.free <- msg
 		}
 		s.shards[i] = sh
 	}
-	s.cfg = s.shards[0].table.Config() // defaults materialised
-	if multi {
-		s.cfgs = s.shards[0].table.Configs()
-		s.vals = make([]float64, len(s.cfgs))
-		s.valid = make([]bool, len(s.cfgs))
+	s.cfgs = s.shards[0].table.Configs() // defaults materialised
+	refs, err := opts.Trainer.attach(s, s.cfgs, refs)
+	if err != nil {
+		return nil, err
 	}
+	s.deferMatch = opts.Trainer != nil
+	if err := s.install(refs); err != nil {
+		return nil, err
+	}
+	s.start()
 	return s, nil
 }
 
@@ -386,59 +341,6 @@ func (s *Sharded) start() {
 	}
 }
 
-// Config returns the extraction configuration with defaults materialised
-// (the first member's, in ensemble mode).
-func (s *Sharded) Config() core.Config { return s.cfg }
-
-// Configs returns every member configuration with defaults
-// materialised, or nil for a single-parameter engine.
-func (s *Sharded) Configs() []core.Config {
-	if !s.multi {
-		return nil
-	}
-	out := make([]core.Config, len(s.cfgs))
-	copy(out, s.cfgs)
-	return out
-}
-
-// SetDB atomically swaps the reference database, exactly like
-// Engine.SetDB. Each shard picks the new database up at its next window
-// close; a swap that races a closing window may match that window's
-// shards against different databases, so swap between windows when the
-// distinction matters.
-func (s *Sharded) SetDB(db *core.CompiledDB) error {
-	if s.multi {
-		return fmt.Errorf("engine: ensemble engine takes a compiled ensemble (SetEnsembleDB)")
-	}
-	if err := checkShape(s.cfg, db); err != nil {
-		return err
-	}
-	s.db.Store(db)
-	return nil
-}
-
-// DB returns the currently installed reference database, or nil (always
-// nil on an ensemble engine; see EnsembleDB).
-func (s *Sharded) DB() *core.CompiledDB { return s.db.Load() }
-
-// SetEnsembleDB atomically swaps the compiled ensemble, exactly like
-// Engine.SetEnsembleDB; the swap-vs-closing-window caveat of SetDB
-// applies.
-func (s *Sharded) SetEnsembleDB(edb *core.CompiledEnsemble) error {
-	if !s.multi {
-		return fmt.Errorf("engine: single-parameter engine takes a compiled database (SetDB)")
-	}
-	if err := checkEnsembleShape(s.cfgs, edb); err != nil {
-		return err
-	}
-	s.edb.Store(edb)
-	return nil
-}
-
-// EnsembleDB returns the currently installed compiled ensemble, or nil
-// (always nil on a single-parameter engine).
-func (s *Sharded) EnsembleDB() *core.CompiledEnsemble { return s.edb.Load() }
-
 // shardOf hashes a sender address to its shard: a fixed multiplicative
 // hash over the 48 address bits, so partitioning is deterministic
 // across runs and processes.
@@ -458,7 +360,7 @@ func (s *Sharded) ShardOf(addr dot11.Addr) int { return s.shardOf(addr) }
 
 // Push ingests one record; the record is not retained. The router
 // applies the global window clock and attribution rules, computes the
-// parameter value against the stream-wide inter-arrival context, and
+// member values against the stream-wide inter-arrival context, and
 // forwards the observation to its sender's shard. Push panics after
 // Close.
 //
@@ -473,16 +375,30 @@ func (s *Sharded) Push(rec *capture.Record) {
 	if closed, meta := s.clock.Advance(rec.T); closed {
 		s.broadcastClose(meta)
 	}
-	if s.multi {
-		// Every member's value is computed here, against the global
-		// inter-arrival context, exactly as the serial ensemble
-		// accumulator computes them — sharding cannot change a value.
-		if !rec.Sender.IsZero() && core.MemberValues(s.cfgs, rec, s.clock.PrevT(), s.vals, s.valid) {
-			s.routeMulti(s.resolveSender(rec), rec.Class, rec.T)
+	// The sender is resolved before any value is computed, exactly as
+	// the serial accumulator does: a probe request binds its address
+	// even when no parameter value is defined for it. Every member's
+	// value is then computed here, against the global inter-arrival
+	// context — sharding cannot change a value.
+	if !rec.Sender.IsZero() {
+		addr := s.resolveSender(rec)
+		vals := s.vals[:len(s.cfgs)]
+		var valid uint8
+		if cfg := &s.cfgs[0]; len(vals) == 1 {
+			// One member's value is computed inline, as the serial
+			// accumulator does: the MemberValues call alone cost ~13% on
+			// BenchmarkShardedPush's 4-shard, 64-sender cell.
+			if rec.FCSOK || cfg.KeepBadFCS {
+				var ok bool
+				if vals[0], ok = cfg.Param.Value(rec, s.clock.PrevT()); ok {
+					valid = 1
+				}
+			}
+		} else {
+			valid = core.MemberValues(s.cfgs, rec, s.clock.PrevT(), vals)
 		}
-	} else if !rec.Sender.IsZero() && (rec.FCSOK || s.cfg.KeepBadFCS) {
-		if v, ok := s.cfg.Param.Value(rec, s.clock.PrevT()); ok {
-			s.route(s.resolveSender(rec), rec.Class, v, rec.T)
+		if valid != 0 {
+			s.route(addr, rec.Class, valid, rec.T, vals)
 		}
 	}
 	s.clock.Mark(rec.T)
@@ -561,29 +477,19 @@ func (s *Sharded) commit(sh *shard, cur *shardMsg) {
 	}
 }
 
-// route appends one observation to its shard's current batch.
-func (s *Sharded) route(addr dot11.Addr, class dot11.Class, v float64, t int64) {
+// route appends one observation — its member values under the valid
+// mask — to its shard's current batch.
+func (s *Sharded) route(addr dot11.Addr, class dot11.Class, valid uint8, t int64, vals []float64) {
 	sh := s.shards[s.shardOf(addr)]
 	cur := s.slot(sh)
 	if cur == nil {
 		return
 	}
-	cur.entries[cur.n] = shardObs{addr: addr, class: class, v: v, t: t}
-	s.commit(sh, cur)
-}
-
-// routeMulti appends one multi-parameter observation (the router's
-// vals/valid buffers) to its shard's current batch.
-func (s *Sharded) routeMulti(addr dot11.Addr, class dot11.Class, t int64) {
-	sh := s.shards[s.shardOf(addr)]
-	cur := s.slot(sh)
-	if cur == nil {
-		return
+	cur.entries[cur.n] = shardObs{addr: addr, class: class, valid: valid, t: t, v: vals[0]}
+	more := cur.more[cur.n*(len(vals)-1):]
+	for m, v := range vals[1:] {
+		more[m] = v
 	}
-	o := &cur.mentries[cur.n]
-	o.addr, o.class, o.t = addr, class, t
-	copy(o.vals[:len(s.vals)], s.vals)
-	copy(o.valid[:len(s.valid)], s.valid)
 	s.commit(sh, cur)
 }
 
@@ -750,17 +656,11 @@ func (s *Sharded) shardProcess(id int, sh *shard, msg *shardMsg) {
 	if h := s.opts.Hooks.ShardBatch; h != nil {
 		h(id, msg.n)
 	}
-	nm := len(s.cfgs)
-	if s.multi {
-		for i := 0; i < msg.n; i++ {
-			o := &msg.mentries[i]
-			sh.table.ObserveN(o.addr, o.class, o.vals[:nm], o.valid[:nm], o.t)
-		}
-	} else {
-		for i := 0; i < msg.n; i++ {
-			o := &msg.entries[i]
-			sh.table.Observe(o.addr, o.class, o.v, o.t)
-		}
+	nm, more := len(s.cfgs)-1, msg.more
+	for i := range msg.entries[:msg.n] {
+		o := &msg.entries[i]
+		sh.table.ObserveN(o.addr, o.class, o.v, more[:nm], o.valid, o.t)
+		more = more[nm:]
 	}
 	if msg.closeWin {
 		s.shardClose(sh, msg, &sent)
@@ -790,12 +690,12 @@ func (s *Sharded) shardClose(sh *shard, msg *shardMsg, sent *bool) {
 		s.segCh <- seg
 		return
 	}
-	n := len(seg.res.Candidates) + len(seg.res.Multi)
+	n := len(seg.res.Multi)
 	rows, prog := make([][]core.Score, n), core.NewProgress(n)
 	seg.rows, seg.prog = rows, prog
 	defer prog.End()
 	var perParam [][][]core.Score
-	if s.multi && s.opts.TopK <= 0 {
+	if s.opts.TopK <= 0 {
 		perParam = make([][][]core.Score, n)
 		seg.perParam = perParam
 	}
@@ -808,20 +708,13 @@ func (s *Sharded) shardClose(sh *shard, msg *shardMsg, sent *bool) {
 		// it take the segment first (see core.Progress.Mark).
 		<-seg.taken
 	}
-	if s.multi {
-		streamRowsMulti(s.edb.Load(), s.opts.TopK, 1, seg.res.Multi, func(i int, fused []core.Score, pp [][]core.Score) {
-			rows[i] = fused
-			if perParam != nil {
-				perParam[i] = pp
-			}
-			prog.Mark(i)
-		})
-	} else {
-		streamRows(s.db.Load(), s.opts.TopK, 1, seg.res.Candidates, func(i int, scores []core.Score) {
-			rows[i] = scores
-			prog.Mark(i)
-		})
-	}
+	streamRows(s.refs.Load(), s.opts.TopK, 1, seg.res.Multi, func(i int, fused []core.Score, pp [][]core.Score) {
+		rows[i] = fused
+		if perParam != nil {
+			perParam[i] = pp
+		}
+		prog.Mark(i)
+	})
 }
 
 // runMerger joins shard segments back into whole windows. Every shard
@@ -932,46 +825,20 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 	sink := s.opts.Sink
 
 	matchedN, unknownN, candsN := 0, 0, 0
-	// Every branch runs every candidate through the same verdict
+	// Both cases run every candidate through the same verdict
 	// accounting, so a change to it cannot drift the trainer-mode stream
 	// from the normal one.
-	verdict := func(c *core.Candidate, scores []core.Score) {
+	verdict := func(c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) {
 		candsN++
-		if emitVerdict(sink, s.opts.Threshold, c, scores) {
+		if emitVerdict(sink, s.opts.Threshold, s.single, c, fused, perParam) {
 			matchedN++
 		} else {
 			unknownN++
 		}
 	}
-	verdictMulti := func(c *core.MultiCandidate, fused []core.Score, perParam [][]core.Score) {
-		candsN++
-		if emitVerdictMulti(sink, s.opts.Threshold, c, fused, perParam) {
-			matchedN++
-		} else {
-			unknownN++
-		}
-	}
-	var trainCands []core.Candidate      // the merged window, for the trainer
-	var trainMulti []core.MultiCandidate // ensemble-mode form
-	switch {
-	case s.deferMatch && s.multi:
-		// Trainer mode, fused: merge the shards' unmatched candidates
-		// into the serial window order, then fuse-match here — after any
-		// swap the previous window's enrollment installed.
-		total := 0
-		for k := range segs {
-			total += len(segs[k].res.Multi)
-		}
-		merged := make([]core.MultiCandidate, 0, total)
-		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Multi) },
-			func(k, i int) [6]byte { return segs[k].res.Multi[i].Addr },
-			func(k, i int) { merged = append(merged, segs[k].res.Multi[i]) })
-		streamRowsMulti(s.edb.Load(), s.opts.TopK, 0, merged, func(i int, fused []core.Score, perParam [][]core.Score) {
-			verdictMulti(&merged[i], fused, perParam)
-		})
-		trainMulti = merged
-	case s.deferMatch:
+	cands := func(k int) []core.MultiCandidate { return segs[k].res.Multi }
+	var merged []core.MultiCandidate // the merged window, for the trainer
+	if s.deferMatch {
 		// Trainer mode: the shards shipped unmatched candidates. Merge
 		// them into the serial engine's ascending-address window order,
 		// then match the whole window here — after any swap the previous
@@ -979,40 +846,30 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 		// workers exactly like the serial engine's window matching.
 		total := 0
 		for k := range segs {
-			total += len(segs[k].res.Candidates)
+			total += len(cands(k))
 		}
-		merged := make([]core.Candidate, 0, total)
+		merged = make([]core.MultiCandidate, 0, total)
 		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Candidates) },
-			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
-			func(k, i int) { merged = append(merged, segs[k].res.Candidates[i]) })
-		streamRows(s.db.Load(), s.opts.TopK, 0, merged, func(i int, scores []core.Score) {
-			verdict(&merged[i], scores)
+			func(k int) int { return len(cands(k)) },
+			func(k, i int) [6]byte { return cands(k)[i].Addr },
+			func(k, i int) { merged = append(merged, cands(k)[i]) })
+		streamRows(s.refs.Load(), s.opts.TopK, 0, merged, func(i int, fused []core.Score, perParam [][]core.Score) {
+			verdict(&merged[i], fused, perParam)
 		})
-		trainCands = merged
-	case s.multi:
+	} else {
 		// Each entry waits for its shard to match its row; a row the
 		// shard faulted before matching is lost with the rest of its
 		// slice.
 		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Multi) },
-			func(k, i int) [6]byte { return segs[k].res.Multi[i].Addr },
+			func(k int) int { return len(cands(k)) },
+			func(k, i int) [6]byte { return cands(k)[i].Addr },
 			func(k, i int) {
 				if seg := &segs[k]; seg.prog.Wait(i) {
 					var pp [][]core.Score
 					if seg.perParam != nil {
 						pp = seg.perParam[i]
 					}
-					verdictMulti(&seg.res.Multi[i], seg.rows[i], pp)
-				}
-			})
-	default:
-		mergeByAddr(len(segs),
-			func(k int) int { return len(segs[k].res.Candidates) },
-			func(k, i int) [6]byte { return segs[k].res.Candidates[i].Addr },
-			func(k, i int) {
-				if seg := &segs[k]; seg.prog.Wait(i) {
-					verdict(&seg.res.Candidates[i], seg.rows[i])
+					verdict(&seg.res.Multi[i], seg.rows[i], pp)
 				}
 			})
 	}
@@ -1030,7 +887,7 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 			if sink != nil {
 				sink.HandleEvent(CandidateDropped{
 					Window: meta.Index, Addr: d.Addr,
-					Observations: d.Observations, Minimum: s.cfg.MinObservations,
+					Observations: d.Observations, Minimum: s.cfgs[0].MinObservations,
 					Evicted: d.Evicted,
 				})
 			}
@@ -1053,28 +910,8 @@ func (s *Sharded) emitWindow(segs []shardSegment) windowCounts {
 
 	// Enrollment runs after the window's own events and before emitted
 	// is advanced, so Flush/Close returning guarantees the flushed
-	// windows' promotions (and their events) have landed. The trainer
-	// step is supervised separately: a panic in it loses this window's
-	// enrollment (counted as a trainer fault) but not the window.
-	if tr := s.opts.Trainer; tr != nil {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.health.recordPanic(s.opts.HealthSink, "trainer", -1, r)
-				}
-			}()
-			emit := func(ev Event) {
-				if sink != nil {
-					sink.HandleEvent(ev)
-				}
-			}
-			if s.multi {
-				tr.observeWindowMulti(meta.Index, trainMulti, emit)
-			} else {
-				tr.observeWindow(meta.Index, trainCands, emit)
-			}
-		}()
-	}
+	// windows' promotions (and their events) have landed.
+	s.opts.Trainer.step(meta.Index, merged, sink, &s.health, s.opts.HealthSink)
 
 	return windowCounts{matched: matchedN, unknown: unknownN, dropped: droppedN, evicted: evictedN}
 }
@@ -1098,13 +935,7 @@ func (s *Sharded) Stats() Stats {
 	for _, sh := range s.shards {
 		st.LiveSenders += sh.table.LiveSenders()
 	}
-	if s.multi {
-		if edb := s.edb.Load(); edb != nil {
-			st.Index = edb.IndexStats()
-		}
-	} else if db := s.db.Load(); db != nil {
-		st.Index = db.IndexStats()
-	}
+	st.Index = s.indexStats()
 	if ns := s.startNs.Load(); ns != 0 {
 		st.Elapsed = time.Duration(time.Now().UnixNano() - ns) //fp:wallclock stats-only elapsed/throughput; no event output depends on it
 		if st.Elapsed > 0 {

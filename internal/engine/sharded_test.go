@@ -41,7 +41,7 @@ func sameEvent(t *testing.T, label string, got, want engine.Event) {
 				label, g.Addr, g.Window, g.Best, want.Addr, want.Window, want.Best)
 		}
 		sameScores(t, label, g.Scores, want.Scores)
-		sameSig(t, label, g.Sig, want.Sig)
+		sameSigs(t, label, g.Sig, g.Sigs, want.Sig, want.Sigs)
 	case engine.UnknownDevice:
 		g, ok := got.(engine.UnknownDevice)
 		if !ok {
@@ -51,7 +51,7 @@ func sameEvent(t *testing.T, label string, got, want engine.Event) {
 			t.Fatalf("%s: unknown %+v, want %+v", label, g, want)
 		}
 		sameScores(t, label, g.Scores, want.Scores)
-		sameSig(t, label, g.Sig, want.Sig)
+		sameSigs(t, label, g.Sig, g.Sigs, want.Sig, want.Sigs)
 	case engine.CandidateDropped:
 		g, ok := got.(engine.CandidateDropped)
 		if !ok {
@@ -70,6 +70,22 @@ func sameEvent(t *testing.T, label string, got, want engine.Event) {
 		}
 	default:
 		t.Fatalf("%s: unhandled event type %T", label, want)
+	}
+}
+
+// sameSigs compares a verdict's signatures in either shape: the single
+// signature and the per-member ones must both agree.
+func sameSigs(t *testing.T, label string, got *core.Signature, gotSigs []*core.Signature, want *core.Signature, wantSigs []*core.Signature) {
+	t.Helper()
+	if (got == nil) != (want == nil) || len(gotSigs) != len(wantSigs) {
+		t.Fatalf("%s: signature shape (sig %v, %d sigs), want (sig %v, %d sigs)",
+			label, got != nil, len(gotSigs), want != nil, len(wantSigs))
+	}
+	if want != nil {
+		sameSig(t, label, got, want)
+	}
+	for m := range wantSigs {
+		sameSig(t, label, gotSigs[m], wantSigs[m])
 	}
 }
 
@@ -300,57 +316,87 @@ func TestShardedCloseIdempotent(t *testing.T) {
 }
 
 // TestShardedClusteredIdenticalToSerial extends the equivalence pin to
-// the clustering stage: over the MAC-randomizing office trace, the
+// the clustering stage: over MAC-randomizing office traces, the
 // sharded engine resolving rotated senders in its router produces the
 // same event stream as the serial engine resolving them in its
 // accumulator — canonical addressing is a pure function of content, so
-// the two paths must agree bit for bit at every shard count.
+// the two paths must agree bit for bit at every shard count. The
+// inter-arrival cases pin the resolution point: a window's first record
+// has no inter-arrival value, yet when it is a probe request its
+// binding must land on both paths, single-parameter and ensemble alike.
 func TestShardedClusteredIdenticalToSerial(t *testing.T) {
 	t.Parallel()
-	p := scenario.RandomizedOffice("shard-rand", 47, 8*time.Minute, 8)
-	tr, _, err := scenario.Build(p)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		seed     uint64
+		param    core.Param
+		ensemble bool
+		shards   []int
+	}{
+		{"probe-ie", 47, core.ParamProbeIE, false, []int{1, 3, 5}},
+		{"iat", 5, core.ParamInterArrival, false, []int{2}},
+		{"iat-ensemble", 5, core.ParamInterArrival, true, []int{2}},
 	}
-	train, valid := core.Split(tr, 3*time.Minute)
-	cfg := core.Config{Param: core.ParamProbeIE}
-	db := core.NewDatabase(cfg, core.MeasureCosine)
-	if err := db.Train(core.NewClusterer(0).Apply(train)); err != nil {
-		t.Fatal(err)
-	}
-	cdb := db.Compile()
-
-	for _, shards := range []int{1, 3, 5} {
-		want := &collectSink{}
-		serial, err := engine.New(cfg, cdb, engine.Options{
-			Window: 2 * time.Minute, Threshold: 0.2, Sink: want,
-			Cluster: core.NewClusterer(0),
-		})
+	for _, c := range cases {
+		p := scenario.RandomizedOffice("shard-rand", c.seed, 8*time.Minute, 8)
+		tr, _, err := scenario.Build(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := &collectSink{}
-		sharded, err := engine.NewSharded(cfg, cdb, engine.ShardedOptions{
-			Window: 2 * time.Minute, Threshold: 0.2, Shards: shards, Sink: got,
-			Cluster: core.NewClusterer(0),
-		})
+		train, valid := core.Split(tr, 3*time.Minute)
+		cfg := core.Config{Param: c.param}
+		db := core.NewDatabase(cfg, core.MeasureCosine)
+		if err := db.Train(core.NewClusterer(0).Apply(train)); err != nil {
+			t.Fatal(err)
+		}
+		cdb := db.Compile()
+		ens, err := core.NewEnsembleFrom(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range valid.Records {
-			rec := valid.Records[i]
-			serial.Push(&rec)
-			rec = valid.Records[i]
-			sharded.Push(&rec)
-		}
-		serial.Close()
-		sharded.Close()
+		cedb := ens.Compile()
 
-		if len(got.events) != len(want.events) {
-			t.Fatalf("shards=%d: %d events, want %d", shards, len(got.events), len(want.events))
-		}
-		for i := range want.events {
-			sameEvent(t, "clustered", got.events[i], want.events[i])
+		for _, shards := range c.shards {
+			want, got := &collectSink{}, &collectSink{}
+			opts := engine.Options{
+				Window: 2 * time.Minute, Threshold: 0.2, Sink: want,
+				Cluster: core.NewClusterer(0),
+			}
+			sopts := engine.ShardedOptions{
+				Window: 2 * time.Minute, Threshold: 0.2, Shards: shards, Sink: got,
+				Cluster: core.NewClusterer(0),
+			}
+			var serial *engine.Engine
+			var sharded *engine.Sharded
+			if c.ensemble {
+				serial, err = engine.NewEnsemble([]core.Config{cfg}, cedb, opts)
+				if err == nil {
+					sharded, err = engine.NewShardedEnsemble([]core.Config{cfg}, cedb, sopts)
+				}
+			} else {
+				serial, err = engine.New(cfg, cdb, opts)
+				if err == nil {
+					sharded, err = engine.NewSharded(cfg, cdb, sopts)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range valid.Records {
+				rec := valid.Records[i]
+				serial.Push(&rec)
+				rec = valid.Records[i]
+				sharded.Push(&rec)
+			}
+			serial.Close()
+			sharded.Close()
+
+			if len(got.events) != len(want.events) {
+				t.Fatalf("%s shards=%d: %d events, want %d", c.name, shards, len(got.events), len(want.events))
+			}
+			for i := range want.events {
+				sameEvent(t, c.name, got.events[i], want.events[i])
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -19,20 +20,21 @@ import (
 // Options.Trainer / ShardedOptions.Trainer (the precise mode: window k's
 // promotions are visible to window k+1's matching on both engines), or
 // from an engine's event stream via Tap — and accumulates each unknown
-// sender's window signatures over the enrollment horizon. When a sender
-// completes the horizon, the enrollment policy (auto, confirm-callback,
-// deny-list) decides its fate; completed signatures are promoted into
-// the trainer's private copy-on-write core.Database, compiled, and
-// hot-swapped into the bound engine with SetDB. Each promotion batch
+// sender's window signatures, one per member parameter, over the
+// enrollment horizon. When a sender completes the horizon, the
+// enrollment policy (auto, confirm-callback, deny-list) decides its
+// fate; completed signatures are promoted into the trainer's private
+// copy-on-write core.Ensemble — all members atomically (Ensemble.Add),
+// so a live-enrolled ensemble can never hold a partially-known device —
+// compiled, and hot-swapped into the bound engine. Each promotion batch
 // emits DeviceEnrolled events (one per device), EnrollmentProgress for
 // senders still accumulating, and exactly one DBSwapped.
 //
-// A trainer created with NewEnsembleTrainer / NewEnsembleTrainerFrom
-// serves an ensemble engine instead: it accumulates one signature per
-// member parameter per pending sender and promotes all member
-// signatures atomically (Ensemble.Add — a live-enrolled ensemble can
-// never hold a partially-known device), hot-swapping one compiled
-// ensemble per promotion batch through SetEnsembleDB.
+// Like the engines, every trainer runs one path: a single-parameter
+// trainer (NewTrainer, NewTrainerFrom) is an ensemble of one, and
+// differs only in the shape of its accessors (Database and Compiled
+// instead of Ensemble and CompiledEnsemble) and of the signatures it
+// hands the Confirm and Decide callbacks (Sig instead of Sigs).
 //
 // Accumulation reuses the window signatures produced by
 // core.WindowAccumulator / core.SenderTable, so extraction stays a
@@ -45,32 +47,38 @@ import (
 // on the engine's event-delivery goroutine; Stats, Database and
 // Compiled are safe from any goroutine.
 type Trainer struct {
-	mu           sync.Mutex
-	cfg          core.Config
-	cfgs         []core.Config // ensemble members; nil in single mode
-	multi        bool
+	mu   sync.Mutex
+	cfgs []core.Config
+	// single marks a trainer built by NewTrainer/NewTrainerFrom: read
+	// only by the shape accessors and the callbacks' payload.
+	single       bool
 	opts         TrainerOptions
-	db           *core.Database // single mode: private working copy
-	ens          *core.Ensemble // ensemble mode: private working copy
+	ens          *core.Ensemble // private working copy
 	pending      map[dot11.Addr]*pendingEnroll
 	denied       map[dot11.Addr]bool
 	evictScratch []pendingEvictCand
-	target       DBSetter         // single mode engine
-	etarget      EnsembleDBSetter // ensemble mode engine
+	target       installer // the bound engine
 	stats        TrainerStats
 }
 
-// DBSetter is the hot-swap half of an engine as the trainer sees it;
-// *Engine and *Sharded both implement it.
+// DBSetter is the hot-swap half of an engine as a single-parameter
+// caller sees it; *Engine and *Sharded both implement it, and Bind
+// takes either.
 type DBSetter interface {
 	SetDB(*core.CompiledDB) error
 }
 
 // EnsembleDBSetter is the hot-swap half of an ensemble engine; *Engine
-// and *Sharded both implement it (the call fails on engines built in
-// single-parameter mode).
+// and *Sharded both implement it (the call fails on engines built for
+// a single parameter).
 type EnsembleDBSetter interface {
 	SetEnsembleDB(*core.CompiledEnsemble) error
+}
+
+// installer is the swap the trainer drives: the engines' shape-checked
+// reference install, whichever shape they answer in.
+type installer interface {
+	install(*core.CompiledEnsemble) error
 }
 
 // EnrollPolicy selects what the trainer does with a sender that has
@@ -231,7 +239,8 @@ func maxSigObs(sigs []*core.Signature) uint64 {
 // empty and is populated entirely by enrollment. The configuration and
 // measure must match the engine the trainer is attached to.
 func NewTrainer(cfg core.Config, measure core.Measure, opts TrainerOptions) *Trainer {
-	return newTrainer(core.NewDatabase(cfg, measure), opts)
+	ens, _ := core.NewEnsemble(measure, cfg) // one member always validates
+	return newTrainer(ens, true, opts)
 }
 
 // NewTrainerFrom creates a trainer seeded with an existing database —
@@ -239,14 +248,8 @@ func NewTrainer(cfg core.Config, measure core.Measure, opts TrainerOptions) *Tra
 // enroll around them. The seed is deep-copied (copy-on-write); the
 // caller's database is never touched.
 func NewTrainerFrom(seed *core.Database, opts TrainerOptions) *Trainer {
-	return newTrainer(seed.Clone(), opts)
-}
-
-func newTrainer(db *core.Database, opts TrainerOptions) *Trainer {
-	t := newTrainerCommon(opts)
-	t.cfg = db.Config()
-	t.db = db
-	return t
+	ens, _ := core.NewEnsembleFrom(seed.Clone()) // one member always validates
+	return newTrainer(ens, true, opts)
 }
 
 // NewEnsembleTrainer creates a cold-start trainer for an ensemble
@@ -258,7 +261,7 @@ func NewEnsembleTrainer(cfgs []core.Config, measure core.Measure, opts TrainerOp
 	if err != nil {
 		return nil, err
 	}
-	return newEnsembleTrainer(ens, opts), nil
+	return newTrainer(ens, false, opts), nil
 }
 
 // NewEnsembleTrainerFrom creates an ensemble trainer seeded with an
@@ -272,24 +275,18 @@ func NewEnsembleTrainerFrom(seed *core.Ensemble, opts TrainerOptions) (*Trainer,
 		return nil, fmt.Errorf("engine: ensemble seed holds %d partially-enrolled devices (first %v) — not matchable and not repairable; re-train or drop them first",
 			len(partial), partial[0])
 	}
-	return newEnsembleTrainer(seed.Clone(), opts), nil
+	return newTrainer(seed.Clone(), false, opts), nil
 }
 
-func newEnsembleTrainer(ens *core.Ensemble, opts TrainerOptions) *Trainer {
-	t := newTrainerCommon(opts)
-	t.multi = true
-	t.ens = ens
-	t.cfgs = ens.Configs()
-	t.cfg = t.cfgs[0]
-	return t
-}
-
-func newTrainerCommon(opts TrainerOptions) *Trainer {
+func newTrainer(ens *core.Ensemble, single bool, opts TrainerOptions) *Trainer {
 	if opts.Horizon <= 0 {
 		opts.Horizon = 1
 	}
 	t := &Trainer{
+		cfgs:    ens.Configs(),
+		single:  single,
 		opts:    opts,
+		ens:     ens,
 		pending: make(map[dot11.Addr]*pendingEnroll),
 		denied:  make(map[dot11.Addr]bool),
 	}
@@ -301,94 +298,64 @@ func newTrainerCommon(opts TrainerOptions) *Trainer {
 
 // Config returns the trainer's extraction configuration (the first
 // member's, for an ensemble trainer).
-func (t *Trainer) Config() core.Config { return t.cfg }
+func (t *Trainer) Config() core.Config { return t.cfgs[0] }
 
 // Configs returns the member configurations of an ensemble trainer, or
 // nil for a single-parameter one.
-func (t *Trainer) Configs() []core.Config {
-	if !t.multi {
-		return nil
-	}
-	out := make([]core.Config, len(t.cfgs))
-	copy(out, t.cfgs)
-	return out
-}
+func (t *Trainer) Configs() []core.Config { return shapeConfigs(t.single, t.cfgs) }
 
-// bind attaches the trainer to the engine it hot-swaps. One engine per
-// trainer: a second bind to a different target fails.
-func (t *Trainer) bind(target DBSetter, cfg core.Config) error {
+// attach binds an inline trainer (Options.Trainer /
+// ShardedOptions.Trainer) to the engine being built and returns the
+// references the engine starts with: the trainer's, since it owns the
+// reference set. A nil trainer returns refs unchanged.
+func (t *Trainer) attach(target installer, cfgs []core.Config, refs *core.CompiledEnsemble) (*core.CompiledEnsemble, error) {
+	if t == nil {
+		return refs, nil
+	}
+	if refs != nil {
+		return nil, fmt.Errorf("engine: both db and a Trainer set — the trainer owns the reference set (seed it with NewTrainerFrom or NewEnsembleTrainerFrom)")
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.multi {
-		return fmt.Errorf("engine: ensemble trainer attached to a single-parameter engine")
-	}
-	if t.cfg.Param != cfg.Param || t.cfg.Bins != cfg.Bins {
-		return fmt.Errorf("engine: trainer shape %v/%v does not match engine %v/%v",
-			t.cfg.Param, t.cfg.Bins, cfg.Param, cfg.Bins)
-	}
-	if t.target != nil && t.target != target {
-		return fmt.Errorf("engine: trainer is already attached to another engine")
-	}
-	t.target = target
-	return nil
-}
-
-// bindEnsemble is bind for the ensemble mode.
-func (t *Trainer) bindEnsemble(target EnsembleDBSetter, cfgs []core.Config) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.multi {
-		return fmt.Errorf("engine: single-parameter trainer attached to an ensemble engine")
-	}
 	if len(t.cfgs) != len(cfgs) {
-		return fmt.Errorf("engine: trainer ensemble of %d members does not match engine's %d", len(t.cfgs), len(cfgs))
+		return nil, fmt.Errorf("engine: trainer ensemble of %d members does not match engine's %d", len(t.cfgs), len(cfgs))
 	}
 	for i := range cfgs {
 		if t.cfgs[i].Param != cfgs[i].Param || t.cfgs[i].Bins != cfgs[i].Bins {
-			return fmt.Errorf("engine: trainer member %d shape %v/%v does not match engine %v/%v",
-				i, t.cfgs[i].Param, t.cfgs[i].Bins, cfgs[i].Param, cfgs[i].Bins)
+			return nil, fmt.Errorf("engine: trainer shape %v/%v does not match engine %v/%v",
+				t.cfgs[i].Param, t.cfgs[i].Bins, cfgs[i].Param, cfgs[i].Bins)
 		}
 	}
-	if t.etarget != nil && t.etarget != target {
-		return fmt.Errorf("engine: trainer is already attached to another engine")
+	if t.target != nil && t.target != target {
+		return nil, errAttached
 	}
-	t.etarget = target
-	return nil
+	t.target = target
+	return t.ens.Compile(), nil
 }
+
+var errAttached = errors.New("engine: trainer is already attached to another engine")
 
 // Bind attaches the trainer to the engine it should hot-swap, for the
 // Tap (event-stream) mode, and installs the trainer's current compiled
 // references into it — which also validates the shapes for real: a
-// trainer whose parameter or bins mismatch the engine fails here, at
-// attach time, instead of silently failing every later swap. An
-// ensemble trainer's target must implement EnsembleDBSetter (both
-// engines do; the ensemble-mode SetEnsembleDB is the call that must
-// succeed). The inline mode — Options.Trainer / ShardedOptions.Trainer
-// — binds automatically.
+// trainer whose parameters or bins mismatch the engine fails here, at
+// attach time, instead of silently failing every later swap. The target
+// must be an *Engine or *Sharded. The inline mode — Options.Trainer /
+// ShardedOptions.Trainer — binds automatically.
 func (t *Trainer) Bind(target DBSetter) error {
+	in, ok := target.(installer)
+	if !ok {
+		return fmt.Errorf("engine: a trainer binds to an *Engine or *Sharded, not %T", target)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.multi {
-		et, ok := target.(EnsembleDBSetter)
-		if !ok {
-			return fmt.Errorf("engine: ensemble trainer needs an engine with SetEnsembleDB")
-		}
-		if t.etarget != nil && t.etarget != et {
-			return fmt.Errorf("engine: trainer is already attached to another engine")
-		}
-		if err := et.SetEnsembleDB(t.ens.Compile()); err != nil {
-			return err
-		}
-		t.etarget = et
-		return nil
+	if t.target != nil && t.target != in {
+		return errAttached
 	}
-	if t.target != nil && t.target != target {
-		return fmt.Errorf("engine: trainer is already attached to another engine")
-	}
-	if err := target.SetDB(t.db.Compile()); err != nil {
+	if err := in.install(t.ens.Compile()); err != nil {
 		return err
 	}
-	t.target = target
+	t.target = in
 	return nil
 }
 
@@ -396,22 +363,25 @@ func (t *Trainer) Bind(target DBSetter) error {
 // reference database (possibly empty, for a cold start; nil for an
 // ensemble trainer, which compiles through CompiledEnsemble).
 func (t *Trainer) Compiled() *core.CompiledDB {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.multi {
+	if !t.single {
 		return nil
 	}
-	return t.db.Compile()
+	return t.compiled().Members()[0]
 }
 
 // CompiledEnsemble returns the latest compiled snapshot of an ensemble
 // trainer's references (nil for a single-parameter trainer).
 func (t *Trainer) CompiledEnsemble() *core.CompiledEnsemble {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.multi {
+	if t.single {
 		return nil
 	}
+	return t.compiled()
+}
+
+// compiled compiles the working references under the lock.
+func (t *Trainer) compiled() *core.CompiledEnsemble {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ens.Compile()
 }
 
@@ -421,23 +391,26 @@ func (t *Trainer) CompiledEnsemble() *core.CompiledEnsemble {
 // snapshot even while enrollment is running; serialise it with
 // Database.SaveBinary (fast) or Save (interop JSON).
 func (t *Trainer) Database() *core.Database {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.multi {
+	if !t.single {
 		return nil
 	}
-	return t.db.Clone()
+	return t.clone().Members()[0]
 }
 
 // Ensemble returns a deep copy of an ensemble trainer's working
 // references — the fused checkpoint entry point (nil for a
 // single-parameter trainer); serialise it with Ensemble.SaveBinary.
 func (t *Trainer) Ensemble() *core.Ensemble {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.multi {
+	if t.single {
 		return nil
 	}
+	return t.clone()
+}
+
+// clone deep-copies the working references under the lock.
+func (t *Trainer) clone() *core.Ensemble {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ens.Clone()
 }
 
@@ -446,11 +419,7 @@ func (t *Trainer) Stats() TrainerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.stats
-	if t.multi {
-		st.Refs = t.ens.Len()
-	} else {
-		st.Refs = t.db.Len()
-	}
+	st.Refs = t.ens.Len()
 	st.Pending = len(t.pending)
 	return st
 }
@@ -476,49 +445,39 @@ func (t *Trainer) PendingList() []PendingEnrollment {
 	return out
 }
 
-// refsLocked returns the current reference count; call with mu held.
-func (t *Trainer) refsLocked() int {
-	if t.multi {
-		return t.ens.Len()
+// step runs an inline trainer's enrollment for one closed window —
+// after the window's own events, so the promotions swap the references
+// the *next* window is matched against, exactly per-window batch
+// training's visibility — delivering the trainer's events to sink. It
+// is supervised on its own: a panic loses this window's enrollment
+// (counted as a trainer fault in health) but not the window. A nil
+// trainer does nothing.
+func (t *Trainer) step(window int, cands []core.MultiCandidate, sink Sink, health *healthState, healthSink Sink) {
+	if t == nil {
+		return
 	}
-	return t.db.Len()
+	defer func() {
+		if r := recover(); r != nil {
+			health.recordPanic(healthSink, "trainer", -1, r)
+		}
+	}()
+	emit := func(ev Event) {
+		if sink != nil {
+			sink.HandleEvent(ev)
+		}
+	}
+	t.observeWindow(window, cands, emit)
 }
 
 // observeWindow folds one closed window's candidates into the
 // enrollment state, promotes completed senders under the policy, swaps
-// the bound engine's database if anything changed, and emits the
+// the bound engine's references if anything changed, and emits the
 // trainer's events (progress, enrollments, then exactly one DBSwapped)
 // through emit. Candidates must arrive in ascending address order —
 // both engines and the batch paths emit them that way — which makes
 // promotion order, and with it the reference insertion order, a
-// deterministic function of the stream. observeWindowMulti is the
-// ensemble form over multi-parameter candidates; the two share every
-// policy decision through observeCommon.
-func (t *Trainer) observeWindow(window int, cands []core.Candidate, emit func(Event)) {
-	t.observeCommon(window, len(cands),
-		func(i int) (dot11.Addr, []*core.Signature) {
-			return dot11.Addr(cands[i].Addr), nil
-		},
-		func(i int) *core.Signature { return cands[i].Sig },
-		emit)
-}
-
-// observeWindowMulti is observeWindow for an ensemble trainer's
-// multi-parameter candidates.
-func (t *Trainer) observeWindowMulti(window int, cands []core.MultiCandidate, emit func(Event)) {
-	t.observeCommon(window, len(cands),
-		func(i int) (dot11.Addr, []*core.Signature) {
-			return dot11.Addr(cands[i].Addr), cands[i].Sigs
-		},
-		nil,
-		emit)
-}
-
-// observeCommon is the single enrollment pipeline behind both candidate
-// shapes: candAt yields candidate i's address and (ensemble mode) its
-// member signatures; sigAt yields the single-parameter signature (nil
-// function in ensemble mode).
-func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*core.Signature), sigAt func(int) *core.Signature, emit func(Event)) {
+// deterministic function of the stream.
+func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit func(Event)) {
 	t.mu.Lock()
 	// Refresh recency for every pending sender that is a candidate in
 	// this window before any MaxPending eviction runs: without this, an
@@ -527,9 +486,8 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	// same window's candidate list — cascading into resetting live
 	// senders' accumulation instead of shedding genuinely stale ones.
 	if t.opts.MaxPending > 0 {
-		for i := 0; i < n; i++ {
-			addr, _ := candAt(i)
-			if p := t.pending[addr]; p != nil {
+		for i := range cands {
+			if p := t.pending[dot11.Addr(cands[i].Addr)]; p != nil {
 				p.lastWindow = window
 			}
 		}
@@ -545,13 +503,20 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	}
 	var promote []promotion
 	updated := 0
-	for i := 0; i < n; i++ {
-		addr, candSigs := candAt(i)
+	for i := range cands {
+		addr, candSigs := dot11.Addr(cands[i].Addr), cands[i].Sigs
 		if t.denied[addr] {
 			t.stats.Denied++
 			continue
 		}
-		if t.updateKnown(addr, candSigs, sigAt, i, &updated) {
+		if refs := t.ens.Signatures(addr); refs != nil {
+			// Already enrolled: under Update the window's signatures
+			// refresh the reference. Shapes always match — the candidate
+			// came from an engine bound to this trainer's configuration.
+			if t.opts.Update && mergeSigs(refs, candSigs) {
+				updated++
+				t.stats.Updated++
+			}
 			continue
 		}
 		p := t.pending[addr]
@@ -559,12 +524,15 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 			if t.opts.MaxPending > 0 && len(t.pending) >= t.opts.MaxPending {
 				t.evictPending()
 			}
-			p = &pendingEnroll{sigs: t.newPendingSigs()}
+			p = &pendingEnroll{sigs: make([]*core.Signature, len(t.cfgs))}
+			for m, cfg := range t.cfgs {
+				p.sigs[m] = core.NewSignature(cfg.Param, cfg.Bins)
+			}
 			t.pending[addr] = p
 		}
 		p.windows++
 		p.lastWindow = window
-		if !t.mergePending(p, candSigs, sigAt, i) {
+		if !mergeSigs(p.sigs, candSigs) {
 			continue // impossible by construction; never corrupt state on it
 		}
 		// The enrollment bar: every member must clear MinObservations
@@ -586,10 +554,10 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 		if t.opts.Policy == EnrollConfirm {
 			decision = DecideReject
 			pe := PendingEnrollment{Addr: addr, Windows: p.windows, Observations: barObs}
-			if t.multi {
-				pe.Sigs = p.sigs
-			} else {
+			if t.single {
 				pe.Sig = p.sigs[0]
+			} else {
+				pe.Sigs = p.sigs
 			}
 			if cb := t.opts.Decide; cb != nil {
 				decision = cb(pe)
@@ -619,20 +587,15 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	}
 
 	for _, pr := range promote {
-		var err error
-		if t.multi {
-			err = t.ens.Add(pr.addr, pr.p.sigs) // all members or none: never a partial reference
-		} else {
-			err = t.db.Add(pr.addr, pr.p.sigs[0])
-		}
-		if err != nil {
+		// All members or none: never a partial reference.
+		if err := t.ens.Add(pr.addr, pr.p.sigs); err != nil {
 			continue // impossible by construction (shape-checked at bind)
 		}
 		t.stats.Enrolled++
 		evs = append(evs, DeviceEnrolled{
 			Window: window, Addr: pr.addr,
 			Windows: pr.p.windows, Observations: maxSigObs(pr.p.sigs),
-			Refs: t.refsLocked(),
+			Refs: t.ens.Len(),
 		})
 	}
 
@@ -641,16 +604,12 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	// whose Bind was never called still accumulates and promotes (Bind
 	// installs the current references when it eventually runs), but it
 	// must not report installations that never happened.
-	if bound := t.target != nil || t.etarget != nil; (len(promote) > 0 || updated > 0) && bound {
-		if t.multi {
-			t.etarget.SetEnsembleDB(t.ens.Compile()) // shape-checked at bind; cannot fail
-		} else {
-			t.target.SetDB(t.db.Compile()) // shape-checked at bind; cannot fail
-		}
+	if (len(promote) > 0 || updated > 0) && t.target != nil {
+		t.target.install(t.ens.Compile()) // shape-checked at bind; cannot fail
 		t.stats.Swaps++
 		evs = append(evs, DBSwapped{
 			Window: window, Version: t.stats.Swaps,
-			Refs: t.refsLocked(), Enrolled: len(promote), Updated: updated,
+			Refs: t.ens.Len(), Enrolled: len(promote), Updated: updated,
 		})
 	}
 	t.mu.Unlock()
@@ -664,68 +623,20 @@ func (t *Trainer) observeCommon(window, n int, candAt func(int) (dot11.Addr, []*
 	}
 }
 
-// newPendingSigs allocates the per-member accumulation signatures of a
-// fresh pending sender.
-func (t *Trainer) newPendingSigs() []*core.Signature {
-	if t.multi {
-		sigs := make([]*core.Signature, len(t.cfgs))
-		for i, cfg := range t.cfgs {
-			sigs[i] = core.NewSignature(cfg.Param, cfg.Bins)
-		}
-		return sigs
-	}
-	return []*core.Signature{core.NewSignature(t.cfg.Param, t.cfg.Bins)}
-}
-
-// updateKnown merges an already-enrolled candidate into its reference
-// under Update mode and reports whether the candidate was a known
-// reference (and so consumed). Shapes always match: the candidate came
-// from an engine bound to this trainer's configuration.
-func (t *Trainer) updateKnown(addr dot11.Addr, candSigs []*core.Signature, sigAt func(int) *core.Signature, i int, updated *int) bool {
-	if t.multi {
-		refs := t.ens.Signatures(addr)
-		if refs == nil {
-			return false
-		}
-		if t.opts.Update {
-			ok := true
-			for m := range refs {
-				if err := refs[m].Merge(candSigs[m]); err != nil {
-					ok = false
-				}
-			}
-			if ok {
-				*updated++
-				t.stats.Updated++
-			}
-		}
-		return true
-	}
-	ref := t.db.Signature(addr)
-	if ref == nil {
+// mergeSigs folds a candidate's member signatures into dst (a
+// reference's or a pending sender's), reporting whether every member
+// merged.
+func mergeSigs(dst, src []*core.Signature) bool {
+	if len(src) != len(dst) {
 		return false
 	}
-	if t.opts.Update {
-		if err := ref.Merge(sigAt(i)); err == nil {
-			*updated++
-			t.stats.Updated++
+	ok := true
+	for m := range dst {
+		if err := dst[m].Merge(src[m]); err != nil {
+			ok = false
 		}
 	}
-	return true
-}
-
-// mergePending folds a candidate's window signature(s) into the pending
-// accumulation, reporting success.
-func (t *Trainer) mergePending(p *pendingEnroll, candSigs []*core.Signature, sigAt func(int) *core.Signature, i int) bool {
-	if t.multi {
-		for m := range p.sigs {
-			if err := p.sigs[m].Merge(candSigs[m]); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	return p.sigs[0].Merge(sigAt(i)) == nil
+	return ok
 }
 
 // pendingEvictCand is the reusable sort record of the pending-eviction
@@ -783,18 +694,16 @@ func (t *Trainer) Tap(next Sink) Sink {
 
 // tapSink reconstructs windows from the event stream: verdict events
 // carry the candidates (in ascending address order), WindowClosed marks
-// the boundary. Ensemble engines' verdicts carry Sigs and feed the
-// multi-parameter observation path.
+// the boundary.
 type tapSink struct {
 	t    *Trainer
 	next Sink
-	buf  []core.Candidate
-	mbuf []core.MultiCandidate
+	buf  []core.MultiCandidate
 }
 
 // HandleEvent implements Sink.
 //
-//fp:mayblock trainer-owned tap: observeWindow* re-enters the Trainer, which drives its engine synchronously from Train — no other pusher exists
+//fp:mayblock trainer-owned tap: observeWindow re-enters the Trainer, which drives its engine synchronously from Train — no other pusher exists
 func (s *tapSink) HandleEvent(ev Event) {
 	if s.next != nil {
 		s.next.HandleEvent(ev)
@@ -809,26 +718,19 @@ func (s *tapSink) HandleEvent(ev Event) {
 		if s.next != nil {
 			emit = s.next.HandleEvent
 		}
-		if s.t.multi {
-			s.t.observeWindowMulti(ev.Window, s.mbuf, emit)
-		} else {
-			s.t.observeWindow(ev.Window, s.buf, emit)
-		}
+		s.t.observeWindow(ev.Window, s.buf, emit)
 		s.buf = s.buf[:0]
-		s.mbuf = s.mbuf[:0]
 	}
 }
 
-// buffer queues one verdict's candidate in the shape the trainer runs
-// in.
+// buffer queues one verdict's candidate, in either event shape — a
+// single-parameter verdict's Sig is its one member signature. A verdict
+// whose member count is not the trainer's is skipped.
 func (s *tapSink) buffer(window int, addr dot11.Addr, sig *core.Signature, sigs []*core.Signature) {
-	if s.t.multi {
-		if sigs != nil {
-			s.mbuf = append(s.mbuf, core.MultiCandidate{Addr: [6]byte(addr), Window: window, Sigs: sigs})
-		}
-		return
-	}
 	if sig != nil {
-		s.buf = append(s.buf, core.Candidate{Addr: [6]byte(addr), Window: window, Sig: sig})
+		sigs = []*core.Signature{sig}
+	}
+	if len(sigs) == len(s.t.cfgs) {
+		s.buf = append(s.buf, core.MultiCandidate{Addr: [6]byte(addr), Window: window, Sigs: sigs})
 	}
 }

@@ -10,7 +10,8 @@
 # If the gate fails, either the new escape is a regression (fix it), or
 # it is a deliberate, amortised allocation that fphotpath already
 # accepts via //fp:allocok — in which case re-run with -update and
-# commit the new expectation alongside the justification:
+# commit the new expectation alongside the justification (-update keeps
+# the file's leading comment block and rewrites only the entries):
 #
 #   scripts/escape_gate.sh [-update]
 set -eu
@@ -25,7 +26,8 @@ ranges="$(mktemp)"
 escapes="$(mktemp)"
 observed="$(mktemp)"
 expected="$(mktemp)"
-trap 'rm -f "$ranges" "$escapes" "$observed" "$expected"' EXIT
+header="$(mktemp)"
+trap 'rm -f "$ranges" "$escapes" "$observed" "$expected" "$header"' EXIT
 
 go run ./cmd/fpvet -hotpath-ranges ./... > "$ranges"
 [ -s "$ranges" ] || { echo "escape_gate: no //fp:hotpath ranges found" >&2; exit 1; }
@@ -54,12 +56,19 @@ awk '
 ' "$ranges" "$escapes" | LC_ALL=C sort > "$observed"
 
 if $update; then
-  {
-    echo "# Heap escapes inside //fp:hotpath function ranges, as reported by"
-    echo "# go build -gcflags=-m. Maintained by scripts/escape_gate.sh -update;"
-    echo "# any new entry needs a review-visible justification here."
-    cat "$observed"
-  } > "$expect"
+  # Keep the existing file's leading comment block — the hand-written
+  # justification of every sanctioned escape — and replace only the
+  # entries beneath it. A missing or comment-less file gets the default
+  # header.
+  [ -f "$expect" ] && awk '/^#/ { print; next } { exit }' "$expect" > "$header"
+  if [ ! -s "$header" ]; then
+    {
+      echo "# Heap escapes inside //fp:hotpath function ranges, as reported by"
+      echo "# go build -gcflags=-m. Maintained by scripts/escape_gate.sh -update;"
+      echo "# any new entry needs a review-visible justification here."
+    } > "$header"
+  fi
+  cat "$header" "$observed" > "$expect"
   echo "escape_gate: wrote $(grep -cv '^#' "$expect" || true) expectation(s) to $expect"
   exit 0
 fi
