@@ -443,18 +443,18 @@
 //
 // Cold start — fingerprintd -db, the server's checkpoint load, every
 // checkpoint-chain restore — is LoadBinary (or LoadBinaryEnsemble)
-// followed by Compile, and both scale with the stored cells
-// (references × carried frame classes × bins), not with the non-zero
-// ones. The loader decodes each histogram's varint counts straight out
-// of its read buffer, a word of eight one-byte counts at a time, and
-// allocates one counts slice per histogram: 8 bytes per stored cell,
-// which is what a loaded database occupies. Compile reads every
-// histogram twice, a sizing scan and a filling scan, and takes each
-// cosine norm from the non-zero cells the filling scan visits. On the
+// followed by Compile, and both scale with the non-zero cells, not with
+// references × frame classes × bins. The loader decodes each histogram's
+// varint counts straight out of its read buffer and keeps only the
+// non-zero ones (bin and count, 12 bytes), in chunks shared across
+// histograms; a histogram more than two-thirds full stays dense. A
+// loaded reference keeps this read-only cell form, shared by its clones,
+// until its first Add or Merge; Compile walks the cells directly. On the
 // fleet-match checkpoint (5.3 MB, 1,547 fused references, two 512-bin
-// members, ~45 MB of counts) a load takes 16–28 ms and a fresh
-// Compile 20–28 ms on a 2-vCPU Xeon; EXPERIMENTS.md ("Cold start") has
-// the pairs.
+// members, 308,641 non-zero cells of 5.28 M) the loaded ensemble holds
+// ~7 MB of live heap instead of ~45 MB, and a load plus a fresh Compile
+// take about 13–17 and 8–11 ms on a 2-vCPU Xeon; EXPERIMENTS.md
+// ("Cold start", "Sparse reference store") has the pairs.
 //
 // # Indexed matching
 //

@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"dot11fp/internal/dot11"
-	"dot11fp/internal/histogram"
 )
 
 // Binary database codec. The JSON codec (Save/Load) stays the interop
@@ -60,8 +60,8 @@ func corruptf(format string, args ...any) error {
 
 // Decode-time sanity bounds: a hostile header must not be able to make
 // the loader allocate more than a handful of bytes before the stream
-// proves it actually carries that much data (readCounts sizes each
-// histogram by the bytes it has seen, not by the claimed bin count).
+// proves it actually carries that much data (cellArena.read keeps only
+// the non-zero counts the stream has shown, not the claimed bins).
 const (
 	maxBinaryBins    = 1 << 20 // 8 MiB of counts per histogram, far above any real shape
 	maxBinaryNameLen = 64
@@ -113,10 +113,16 @@ func (db *Database) SaveBinary(w io.Writer) error {
 		classes := sig.Classes()
 		bw.WriteByte(byte(len(classes)))
 		for _, class := range classes {
-			h := sig.Hist(class)
+			r, _ := sig.row(class)
 			bw.WriteByte(byte(class))
-			bw.Write(varint[:binary.PutUvarint(varint[:], h.Dropped())])
-			for _, c := range h.CountsView() {
+			bw.Write(varint[:binary.PutUvarint(varint[:], r.dropped)])
+			k := 0 // next stored count; a cell row's gaps are written as zeros
+			for j := 0; j < db.cfg.Bins.Bins; j++ {
+				var c uint64
+				if k < len(r.counts) && r.bin(k) == j {
+					c = r.counts[k]
+					k++
+				}
 				bw.Write(varint[:binary.PutUvarint(varint[:], c)])
 			}
 		}
@@ -211,6 +217,8 @@ func LoadBinary(r io.Reader) (*Database, error) {
 
 	cfg := Config{Param: param, Bins: BinSpec{Bins: bins, Width: width, LogKnee: knee}, MinObservations: minObs}
 	db := NewDatabase(cfg, measure)
+	var arena cellArena
+	var rows []cellRow
 	// The device loop allocates per device actually present in the
 	// stream, never from the claimed count alone: a huge count over a
 	// short stream fails at the first missing byte.
@@ -230,6 +238,8 @@ func LoadBinary(r io.Reader) (*Database, error) {
 			return nil, corruptf("device %v claims %d frame classes (max %d)", addr, nClasses, dot11.NumClasses)
 		}
 		sig := NewSignature(param, cfg.Bins)
+		rows = rows[:0]                 // the device's classes in cell form
+		var seen [dot11.NumClasses]bool // the device's classes so far
 		for k := 0; k < int(nClasses); k++ {
 			cb, err := br.ReadByte()
 			if err != nil {
@@ -239,22 +249,30 @@ func LoadBinary(r io.Reader) (*Database, error) {
 			if int(cb) >= dot11.NumClasses {
 				return nil, corruptf("device %v: unknown frame class %d", addr, cb)
 			}
-			if sig.Hist(class) != nil {
+			if seen[class] {
 				return nil, corruptf("device %v: duplicate frame class %v", addr, class)
 			}
+			seen[class] = true
 			dropped, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, corruptf("device %v class %v dropped count: %v", addr, class, err)
 			}
-			counts, bin, err := readCounts(br, bins)
+			total, bin, err := arena.read(br, bins)
 			if err != nil {
 				return nil, corruptf("device %v class %v bin %d: %v", addr, class, bin, err)
 			}
-			h, err := histogram.FromSnapshot(histogram.Snapshot{BinWidth: width, Counts: counts, Dropped: dropped})
-			if err != nil {
-				return nil, fmt.Errorf("%w: device %v class %v: %v", ErrBinaryDatabase, addr, class, err)
+			r := cellRow{class: class, total: total, dropped: dropped}
+			if r.bins, r.counts = arena.cells(); 3*len(r.bins) > 2*bins {
+				// Past 2/3 full, cells (12 B each) outweigh dense (8 B a bin).
+				h := r.hist(cfg.Bins)
+				sig.setHist(class, &h)
+				continue
 			}
-			sig.setHist(class, &h)
+			arena.keep()
+			rows = append(rows, r)
+		}
+		if len(rows) > 0 {
+			sig.setCells(rows)
 		}
 		if err := db.Add(addr, sig); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBinaryDatabase, err)
@@ -263,61 +281,71 @@ func LoadBinary(r io.Reader) (*Database, error) {
 	return db, nil
 }
 
-// readCounts decodes one histogram's bins uvarint counts straight out
-// of br's buffered window (Peek + Discard) instead of one ReadByte
-// interface call per byte. A one-byte varint — most counts are small,
-// most are zero — costs one compare; eight in a row cost one word
-// test, and a zero word (eight empty bins) is skipped outright because
-// the slice is freshly zeroed. A longer varint goes through
-// binary.Uvarint on the window. A varint that straddles the window's
-// end, or a malformed one, is read by binary.ReadUvarint, so every
-// error is exactly the one a byte-at-a-time decode reports; on failure
-// readCounts returns the failing bin's index with it. It consumes
-// exactly the counts' bytes, so callers sharing br (the ensemble
-// container, codec sniffing) read on from the next field.
-//
-// The counts slice is allocated only once the stream has shown it
-// carries at least bins bytes (every varint takes one or more): Peek
-// proves it up front when bins fits the buffer, and above that the
-// slice grows by at most the bytes each window shows. A hostile header
-// claiming maxBinaryBins over a short stream thus allocates a few
-// bytes, not 8 MiB.
-func readCounts(br *bufio.Reader, bins int) ([]uint64, int, error) {
-	var counts []uint64
-	if bins <= br.Size() {
-		win, err := br.Peek(bins)
-		if err != nil {
-			// Fewer than bins bytes remain, so the stream cannot carry
-			// bins varints: find the failing bin without allocating.
-			bin, err := shortCounts(win, err)
-			return nil, bin, err
-		}
-		counts = make([]uint64, bins)
+// cellArena holds a load's decoded cells in chunks shared by the
+// histograms they hold, so a load allocates per chunk, not per
+// histogram. The cells from start on are the histogram being decoded.
+type cellArena struct {
+	bins   []int32
+	counts []uint64
+	start  int
+}
+
+// push appends one non-zero cell of the histogram being decoded.
+func (a *cellArena) push(bin int, c uint64) {
+	if len(a.bins) == cap(a.bins) {
+		// Move the histogram's cells to a fresh chunk (256 cells
+		// doubling to 64 Ki); the old one stays with the kept ones.
+		live := len(a.bins) - a.start
+		size := max(min(2*cap(a.bins), 1<<16), 256, 2*live)
+		a.bins = append(make([]int32, 0, size), a.bins[a.start:]...)
+		a.counts = append(make([]uint64, 0, size), a.counts[a.start:]...)
+		a.start = 0
 	}
+	a.bins = append(a.bins, int32(bin))
+	a.counts = append(a.counts, c)
+}
+
+// cells returns the histogram just read, capped so an append cannot
+// reach the next one's; keep hands them over for good, and cells not
+// kept are overwritten by the next read.
+func (a *cellArena) cells() ([]int32, []uint64) {
+	n := len(a.bins)
+	return a.bins[a.start:n:n], a.counts[a.start:n:n]
+}
+
+func (a *cellArena) keep() { a.start = len(a.bins) }
+
+// read decodes one histogram's bins uvarint counts straight out of br's
+// buffered window (Peek + Discard) and pushes only the non-zero ones: a
+// zero is never written to memory, and eight one-byte zeros cost one
+// word test. A varint that straddles the window's end, or a malformed
+// one, goes through binary.ReadUvarint, so every error is the one a
+// byte-at-a-time decode reports, returned with the failing bin. It
+// consumes exactly the counts' bytes (ensemble members and codec
+// sniffing share br) and returns their sum. Memory follows the bytes
+// the stream has shown, not the claimed bin count.
+func (a *cellArena) read(br *bufio.Reader, bins int) (uint64, int, error) {
+	a.bins, a.counts = a.bins[:a.start], a.counts[:a.start]
+	var total uint64
 	i := 0 // next bin
 	for i < bins {
 		if br.Buffered() == 0 {
 			if _, err := br.Peek(1); err != nil {
-				return nil, i, err // what ReadUvarint reports at a varint's first byte
+				return 0, i, err // what ReadUvarint reports at a varint's first byte
 			}
 		}
 		win, _ := br.Peek(br.Buffered())
-		if n := min(i+len(win), bins); n > len(counts) {
-			counts = append(counts, make([]uint64, n-len(counts))...)
-		}
-		// Every varint in win takes a byte or more, so counts has room
-		// for all of them: the loop stops at a full histogram or at the
-		// window's end.
 		pos := 0
-		for pos < len(win) && i < len(counts) {
-			if pos+8 <= len(win) && i+8 <= len(counts) {
+		for pos < len(win) && i < bins {
+			if pos+8 <= len(win) && i+8 <= bins {
 				w := binary.LittleEndian.Uint64(win[pos:])
 				if w&0x8080808080808080 == 0 {
-					if w != 0 {
-						c := counts[i : i+8]
-						for k := range c {
-							c[k] = uint64(byte(w >> (8 * k)))
-						}
+					for w != 0 { // one pass per non-zero byte
+						k := bits.TrailingZeros64(w) / 8
+						c := w >> (8 * k) & 0xff
+						w &^= 0xff << (8 * k)
+						a.push(i+k, c)
+						total += c
 					}
 					i += 8
 					pos += 8
@@ -325,7 +353,10 @@ func readCounts(br *bufio.Reader, bins int) ([]uint64, int, error) {
 				}
 			}
 			if b := win[pos]; b < 0x80 {
-				counts[i] = uint64(b)
+				if b != 0 {
+					a.push(i, uint64(b))
+					total += uint64(b)
+				}
 				i++
 				pos++
 				continue
@@ -334,7 +365,10 @@ func readCounts(br *bufio.Reader, bins int) ([]uint64, int, error) {
 			if n <= 0 {
 				break // straddles the window's end, or malformed
 			}
-			counts[i] = v
+			if v != 0 { // a zero can take several bytes in a non-canonical varint
+				a.push(i, v)
+				total += v
+			}
 			i++
 			pos += n
 		}
@@ -342,40 +376,16 @@ func readCounts(br *bufio.Reader, bins int) ([]uint64, int, error) {
 		if pos < len(win) && i < bins {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, i, err
+				return 0, i, err
 			}
-			counts[i] = v
+			if v != 0 {
+				a.push(i, v)
+				total += v
+			}
 			i++
 		}
 	}
-	return counts, 0, nil
-}
-
-// shortCounts decodes a stream that holds only win before failing with
-// err, one byte at a time, and returns the bin whose varint fails and
-// the error ReadUvarint reports there.
-func shortCounts(win []byte, err error) (int, error) {
-	tail := &tailReader{b: win, err: err}
-	for bin := 0; ; bin++ {
-		if _, err := binary.ReadUvarint(tail); err != nil {
-			return bin, err
-		}
-	}
-}
-
-// tailReader yields a window's bytes, then the error that ended it.
-type tailReader struct {
-	b   []byte
-	err error
-}
-
-func (t *tailReader) ReadByte() (byte, error) {
-	if len(t.b) == 0 {
-		return 0, t.err
-	}
-	c := t.b[0]
-	t.b = t.b[1:]
-	return c, nil
+	return total, 0, nil
 }
 
 // readBinaryString reads a u8-length-prefixed string.

@@ -188,8 +188,8 @@ func readerVariants(data []byte) map[string]io.Reader {
 }
 
 // sameLoad asserts the loader under test and the reference agree: the
-// same error (message and type) or, on success, byte-identical
-// re-saves.
+// same error (message and type) or, on success, the same counts (see
+// sameCounts) and byte-identical re-saves.
 func sameLoad(t *testing.T, label string, want, got interface{ SaveBinary(io.Writer) error }, wantErr, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
@@ -206,6 +206,14 @@ func sameLoad(t *testing.T, label string, want, got interface{ SaveBinary(io.Wri
 		}
 		return
 	}
+	switch want := want.(type) {
+	case *Database:
+		sameCounts(t, label, want, got.(*Database))
+	case *Ensemble:
+		for i, db := range want.dbs {
+			sameCounts(t, fmt.Sprintf("%s member %d", label, i), db, got.(*Ensemble).dbs[i])
+		}
+	}
 	var wb, gb bytes.Buffer
 	if err := want.SaveBinary(&wb); err != nil {
 		t.Fatalf("%s: re-saving the reference's load: %v", label, err)
@@ -215,6 +223,49 @@ func sameLoad(t *testing.T, label string, want, got interface{ SaveBinary(io.Wri
 	}
 	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
 		t.Fatalf("%s: re-save differs from the reference decoder's", label)
+	}
+}
+
+// sameCounts asserts a database loaded in cell form holds exactly the
+// reference decoder's dense histograms: per device and class the same
+// count at every bin, the same totals and dropped counts, and cell rows
+// whose bins ascend and whose counts are all non-zero.
+func sameCounts(t *testing.T, label string, want, got *Database) {
+	t.Helper()
+	if !slices.Equal(want.order, got.order) {
+		t.Fatalf("%s: devices %v, reference %v", label, got.order, want.order)
+	}
+	for _, addr := range want.order {
+		ws, gs := want.refs[addr], got.refs[addr]
+		if ws.total != gs.total || ws.nhist != gs.nhist {
+			t.Fatalf("%s: device %v holds %d observations in %d classes, reference %d in %d",
+				label, addr, gs.total, gs.nhist, ws.total, ws.nhist)
+		}
+		for c := range ws.hists {
+			class := dot11.Class(c)
+			wr, wok := ws.row(class)
+			gr, gok := gs.row(class)
+			if wok != gok {
+				t.Fatalf("%s: device %v class %v present %v, reference %v", label, addr, class, gok, wok)
+			}
+			if !wok {
+				continue
+			}
+			if gr.total != wr.total || gr.dropped != wr.dropped {
+				t.Fatalf("%s: device %v class %v total/dropped %d/%d, reference %d/%d",
+					label, addr, class, gr.total, gr.dropped, wr.total, wr.dropped)
+			}
+			for k := range gr.bins {
+				if gr.counts[k] == 0 || (k > 0 && gr.bins[k] <= gr.bins[k-1]) {
+					t.Fatalf("%s: device %v class %v: cell %d (bin %d, count %d) breaks the cell form",
+						label, addr, class, k, gr.bins[k], gr.counts[k])
+				}
+			}
+			wh, gh := wr.hist(ws.bins), gr.hist(gs.bins)
+			if !slices.Equal(wh.CountsView(), gh.CountsView()) {
+				t.Fatalf("%s: device %v class %v counts differ from the reference decoder's", label, addr, class)
+			}
+		}
 	}
 }
 
@@ -280,9 +331,10 @@ func TestLoadBinaryHostileBinCount(t *testing.T) {
 	}
 }
 
-// TestLoadBinaryAllocs is the allocation guard: a load allocates one
-// counts slice per stored histogram plus O(1) per device, so the
-// snapshot copy (a second slice per histogram) cannot come back.
+// TestLoadBinaryAllocs is the allocation guard: a load allocates O(1)
+// per device and none per histogram (the cells come from shared
+// chunks), so neither a counts slice per histogram nor the snapshot
+// copy (a second one) can come back.
 func TestLoadBinaryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -308,9 +360,10 @@ func TestLoadBinaryAllocs(t *testing.T) {
 		hists += len(db.refs[addr].Classes())
 	}
 	devices := db.Len()
-	// One Signature per device; the constant covers the reader, the
-	// header and the growth steps of the 64-device map and order slice.
-	limit := float64(hists + devices + 40)
+	// A Signature, its cell form and its rows per device; the constant
+	// covers the reader, the header, the cell chunks and the growth
+	// steps of the 64-device map and order slice.
+	limit := float64(3*devices + 40)
 	load := func(loader func(io.Reader) (*Database, error)) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := loader(bytes.NewReader(data)); err != nil {

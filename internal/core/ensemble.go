@@ -175,16 +175,19 @@ func (e *Ensemble) Add(addr dot11.Addr, sigs []*Signature) error {
 	return nil
 }
 
-// Signatures returns a device's per-member reference signatures, or nil
+// SignaturesInto returns a device's per-member reference signatures in
+// dst's backing (allocation-free with room for every member), or nil
 // when the device is not known to every member.
-func (e *Ensemble) Signatures(addr dot11.Addr) []*Signature {
-	out := make([]*Signature, len(e.dbs))
-	for i, db := range e.dbs {
-		if out[i] = db.Signature(addr); out[i] == nil {
+func (e *Ensemble) SignaturesInto(dst []*Signature, addr dot11.Addr) []*Signature {
+	dst = dst[:0]
+	for _, db := range e.dbs {
+		sig := db.Signature(addr)
+		if sig == nil {
 			return nil
 		}
+		dst = append(dst, sig)
 	}
-	return out
+	return dst
 }
 
 // Len returns the number of devices known to every member database —

@@ -63,10 +63,10 @@ type IndexStats struct {
 // compileClass freezes one frame class of the references' signatures
 // (sigs, in reference order) into c: the weights and norms plus the
 // layout the measure reads — the postings, or the CSR rows for L1 — in
-// two scans of the histograms, a sizing scan and a filling one, so every
-// slice is allocated once at its final size (the snapshot is rebuilt on
-// each reference swap). A class no reference carries stays the zero
-// compiledClass.
+// two scans of the non-zero cells, a sizing scan and a filling one, so
+// every slice is allocated once at its final size (the snapshot is
+// rebuilt on each reference swap); a loaded reference's cells are walked
+// as they are. A class no reference carries stays the zero compiledClass.
 func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 	n := len(sigs)
 	cosine := c.measure.isCosine()
@@ -79,16 +79,16 @@ func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 		binRefs = make([]int32, c.bins)
 	}
 	for _, sig := range sigs {
-		h := sig.Hist(class)
-		if h == nil {
+		row, ok := sig.row(class)
+		if !ok {
 			continue
 		}
 		carriers++
-		for j, cnt := range h.CountsView() {
+		for k, cnt := range row.counts {
 			if cnt != 0 {
 				entries++
 				if !l1 {
-					binRefs[j]++
+					binRefs[row.bin(k)]++
 				}
 			}
 		}
@@ -125,23 +125,24 @@ func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 		if l1 {
 			cc.rowStart[r] = int32(len(cc.rowBin))
 		}
-		h := sig.Hist(class)
-		if h == nil {
+		row, ok := sig.row(class)
+		if !ok {
 			continue
 		}
 		cc.weights[r] = sig.Weight(class)
 		if l1 {
 			cc.classRefs = append(cc.classRefs, int32(r))
 		}
-		total := float64(h.Total())
+		total := float64(row.total)
 		// The cosine norm sums the squares of the non-zero cells only:
 		// each skipped cell adds an exact +0.0 to a non-negative sum, so
 		// the bits equal histogram.CountNorm's dense sum.
 		var norm float64
-		for j, cnt := range h.CountsView() {
+		for k, cnt := range row.counts {
 			if cnt == 0 {
 				continue
 			}
+			j := row.bin(k)
 			// The row value: the float64 count for cosine,
 			// float64(count)/total (as AppendFreqs computes it) otherwise.
 			v := float64(cnt)

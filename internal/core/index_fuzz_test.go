@@ -19,6 +19,9 @@ import (
 //     agrees bit for bit with the naive vector ranked stably (score
 //     descending, insertion index ascending) or filtered by >=.
 //
+// Both hold for the references as built (dense) and for their binary
+// round trip, which keeps them in cell form.
+//
 // One scratch serves every call of an input, across databases of
 // different sizes, so residue left in the reusable buffers shows up as
 // a mismatch.
@@ -152,33 +155,43 @@ func FuzzIndexedMatch(f *testing.F) {
 				}
 			}
 
-			cdb := buildRefs(t, measure, sigs[0]).Compile()
-			for i, c := range single {
-				sameScores(t, measure.String()+" MatchInto", naive[i], cdb.MatchInto(c.Sig, &scratch))
-				checkSelect(t, measure.String(), naive[i], func(k int) []Score { return cdb.TopKInto(c.Sig, k, &scratch) },
-					func() (Score, bool) { return cdb.Best(c.Sig) })
-				for _, thr := range naive[i] {
-					sameScores(t, measure.String()+" Above", filterAbove(naive[i], thr.Sim), cdb.Above(c.Sig, thr.Sim))
+			// Every check runs over the dense references and over their
+			// binary round trip, which holds them in cell form.
+			forms := [...]string{"dense", "cells"}
+			refs := buildRefs(t, measure, sigs[0])
+			for f, db := range []*Database{refs, reloaded(t, refs)} {
+				label := measure.String() + " " + forms[f]
+				cdb := db.Compile()
+				for i, c := range single {
+					sameScores(t, label+" MatchInto", naive[i], cdb.MatchInto(c.Sig, &scratch))
+					checkSelect(t, label, naive[i], func(k int) []Score { return cdb.TopKInto(c.Sig, k, &scratch) },
+						func() (Score, bool) { return cdb.Best(c.Sig) })
+					for _, thr := range naive[i] {
+						sameScores(t, label+" Above", filterAbove(naive[i], thr.Sim), cdb.Above(c.Sig, thr.Sim))
+					}
 				}
-			}
-			for i, row := range cdb.MatchAllScratch(single, &scratch) {
-				sameScores(t, measure.String()+" MatchAllScratch", naive[i], row)
+				for i, row := range cdb.MatchAllScratch(single, &scratch) {
+					sameScores(t, label+" MatchAllScratch", naive[i], row)
+				}
 			}
 
-			ce := buildEnsemble(t, measure, params, sigs).Compile()
-			fused, member := ce.MatchAllScratch(cands, &es)
-			for i := range cands {
-				sameScores(t, measure.String()+" fused", naiveFused[i], fused[i])
-				for m := range params {
-					sameScores(t, measure.String()+" member", naiveMember[i][m], member[i][m])
+			ens := buildEnsemble(t, measure, params, sigs)
+			for f, e := range []*Ensemble{ens, reloadedEnsemble(t, ens)} {
+				label := measure.String() + " " + forms[f] + " fused"
+				ce := e.Compile()
+				fused, member := ce.MatchAllScratch(cands, &es)
+				for i := range cands {
+					sameScores(t, label, naiveFused[i], fused[i])
+					for m := range params {
+						sameScores(t, label+" member", naiveMember[i][m], member[i][m])
+					}
 				}
-			}
-			for i, c := range cands {
-				label := measure.String() + " fused"
-				got, _ := ce.MatchInto(c, &es)
-				sameScores(t, label+" MatchInto", naiveFused[i], got)
-				checkSelect(t, label, naiveFused[i], func(k int) []Score { return ce.TopKInto(c, k, &es) },
-					func() (Score, bool) { return ce.Best(c) })
+				for i, c := range cands {
+					got, _ := ce.MatchInto(c, &es)
+					sameScores(t, label+" MatchInto", naiveFused[i], got)
+					checkSelect(t, label, naiveFused[i], func(k int) []Score { return ce.TopKInto(c, k, &es) },
+						func() (Score, bool) { return ce.Best(c) })
+				}
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dot11fp/internal/capture"
 	"dot11fp/internal/dot11"
@@ -17,12 +18,46 @@ import (
 // path costs an array index per observation instead of a map lookup,
 // and a signature needs one allocation for itself plus one count slice
 // per class actually observed.
+//
+// A reference loaded from a binary checkpoint holds its sparse classes
+// as read-only cells (non-zero bins and counts) shared by its clones,
+// until the first Add or Merge densifies it. They hang off one pointer
+// to keep Signature, allocated per sender per window, in its size class.
 type Signature struct {
 	param Param
 	bins  BinSpec
 	hists [dot11.NumClasses]histogram.Histogram // value slots; Bins()==0 marks an absent class
-	nhist int                                   // number of present classes
+	cells *[]cellRow                            // classes held in cell form; nil once dense
+	nhist int                                   // number of present classes, in either form
 	total uint64
+}
+
+// cellRow is one class's counts as compile and save read them: ascending
+// non-zero bins and their counts or, with bins nil, the dense row.
+type cellRow struct {
+	class          dot11.Class
+	bins           []int32
+	counts         []uint64
+	total, dropped uint64
+}
+
+// bin returns the bin of the row's k-th count.
+func (r *cellRow) bin(k int) int {
+	if r.bins == nil {
+		return k
+	}
+	return int(r.bins[k])
+}
+
+// hist expands the row into a fresh dense histogram of the given shape.
+func (r *cellRow) hist(spec BinSpec) histogram.Histogram {
+	counts := make([]uint64, spec.Bins) //fp:allocok only loaded references hold cells; the live candidates the match kernel reads are dense
+	for k, c := range r.counts {
+		counts[r.bin(k)] = c
+	}
+	// The loader validated the shape, so the snapshot is valid.
+	h, _ := histogram.FromSnapshot(histogram.Snapshot{BinWidth: spec.Width, Counts: counts, Dropped: r.dropped})
+	return h
 }
 
 // NewSignature creates an empty signature for a parameter and bin shape.
@@ -40,8 +75,11 @@ func (s *Signature) Param() Param { return s.param }
 func (s *Signature) Add(class dot11.Class, v float64) {
 	h := &s.hists[class]
 	if h.Bins() == 0 {
-		h.Init(s.bins.Bins, s.bins.Width)
-		s.nhist++
+		s.densify() // a loaded reference's class may be in cell form
+		if h.Bins() == 0 {
+			h.Init(s.bins.Bins, s.bins.Width)
+			s.nhist++
+		}
 	}
 	before := h.Total()
 	h.Add(s.bins.Transform(v))
@@ -56,23 +94,43 @@ func (s *Signature) Observations() uint64 { return s.total }
 func (s *Signature) Classes() []dot11.Class {
 	out := make([]dot11.Class, 0, s.nhist)
 	for c := range s.hists {
-		if s.hists[c].Bins() != 0 {
+		if _, ok := s.row(dot11.Class(c)); ok {
 			out = append(out, dot11.Class(c))
 		}
 	}
 	return out
 }
 
-// Hist returns the histogram for a class, or nil if absent.
+// Hist returns the histogram for a class, or nil if absent. A class in
+// cell form comes back as a fresh dense copy: reading writes nothing.
 func (s *Signature) Hist(class dot11.Class) *histogram.Histogram {
+	if int(class) < len(s.hists) && s.hists[class].Bins() != 0 {
+		return &s.hists[class]
+	}
+	if r, ok := s.row(class); ok {
+		h := r.hist(s.bins)
+		return &h
+	}
+	return nil
+}
+
+// row returns a present class's counts in either form without copying
+// them; ok is false for an absent class.
+func (s *Signature) row(class dot11.Class) (cellRow, bool) {
 	if int(class) >= len(s.hists) {
-		return nil
+		return cellRow{}, false
 	}
-	h := &s.hists[class]
-	if h.Bins() == 0 {
-		return nil
+	if h := &s.hists[class]; h.Bins() != 0 {
+		return cellRow{class: class, counts: h.CountsView(), total: h.Total(), dropped: h.Dropped()}, true
 	}
-	return h
+	if s.cells != nil {
+		for _, r := range *s.cells {
+			if r.class == class {
+				return r, true
+			}
+		}
+	}
+	return cellRow{}, false
 }
 
 // setHist installs a decoded histogram for a class the signature does
@@ -83,22 +141,47 @@ func (s *Signature) setHist(class dot11.Class, h *histogram.Histogram) {
 	s.total += h.Total()
 }
 
+// setCells installs a loaded device's cell rows (copied) for classes it
+// does not yet carry; the binary loader validates them first.
+func (s *Signature) setCells(rows []cellRow) {
+	rows = slices.Clone(rows)
+	s.cells = &rows
+	for _, r := range rows {
+		s.nhist++
+		s.total += r.total
+	}
+}
+
+// densify expands the cells into the inline histograms, once per loaded reference.
+//
+//fp:coldpath runs once per loaded reference, on its first mutation
+func (s *Signature) densify() {
+	if s.cells == nil {
+		return
+	}
+	for _, r := range *s.cells {
+		s.hists[r.class] = r.hist(s.bins)
+	}
+	s.cells = nil
+}
+
 // Weight returns weight_ftype = |P^ftype| / Σ|P^ftype| (Definition 1).
 func (s *Signature) Weight(class dot11.Class) float64 {
-	h := s.Hist(class)
-	if h == nil || s.total == 0 {
+	r, ok := s.row(class)
+	if !ok || s.total == 0 {
 		return 0
 	}
-	return float64(h.Total()) / float64(s.total)
+	return float64(r.total) / float64(s.total)
 }
 
 // Clone returns a deep copy of the signature. Used by the online
 // trainer to snapshot enrollment state without aliasing live
-// histograms.
+// histograms. The cell form is immutable, so the copy shares it.
 func (s *Signature) Clone() *Signature {
 	c := &Signature{
 		param: s.param,
 		bins:  s.bins,
+		cells: s.cells,
 		nhist: s.nhist,
 		total: s.total,
 	}
@@ -120,9 +203,10 @@ func (s *Signature) Merge(other *Signature) error {
 		return fmt.Errorf("core: signature shape mismatch: %v/%v vs %v/%v",
 			s.param, s.bins, other.param, other.bins)
 	}
+	s.densify()
 	for class := range other.hists {
-		oh := &other.hists[class]
-		if oh.Bins() == 0 {
+		oh := other.Hist(dot11.Class(class))
+		if oh == nil {
 			continue
 		}
 		h := &s.hists[class]

@@ -304,7 +304,7 @@ func TestEnsembleTrainerLiveEqualsBatch(t *testing.T) {
 	cands := extractor.CandidatesIn(tr, window)
 	for i := range cands {
 		addr := dot11.Addr(cands[i].Addr)
-		if refs := batch.Signatures(addr); refs != nil {
+		if refs := batch.SignaturesInto(nil, addr); refs != nil {
 			for m := range refs {
 				if err := refs[m].Merge(cands[i].Sigs[m]); err != nil {
 					t.Fatal(err)

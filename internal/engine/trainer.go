@@ -502,6 +502,7 @@ func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit fu
 		p    *pendingEnroll
 	}
 	var promote []promotion
+	var refBuf [core.MaxEnsembleMembers]*core.Signature // a candidate's reference lookup
 	updated := 0
 	for i := range cands {
 		addr, candSigs := dot11.Addr(cands[i].Addr), cands[i].Sigs
@@ -509,7 +510,7 @@ func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit fu
 			t.stats.Denied++
 			continue
 		}
-		if refs := t.ens.Signatures(addr); refs != nil {
+		if refs := t.ens.SignaturesInto(refBuf[:0], addr); refs != nil {
 			// Already enrolled: under Update the window's signatures
 			// refresh the reference. Shapes always match — the candidate
 			// came from an engine bound to this trainer's configuration.

@@ -220,7 +220,8 @@ func (s *Server) handleReference(w http.ResponseWriter, r *http.Request, site *S
 	detail := referenceDetail{Addr: addr.String(), Params: make(map[string]uint64)}
 	switch {
 	case refs.Ens != nil:
-		sigs := refs.Ens.Signatures(addr)
+		var buf [dot11fp.MaxEnsembleMembers]*dot11fp.Signature
+		sigs := refs.Ens.SignaturesInto(buf[:0], addr)
 		if sigs == nil {
 			writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
 			return

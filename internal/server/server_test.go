@@ -576,3 +576,137 @@ func TestPushZeroAllocsWithServerAttached(t *testing.T) {
 	}
 	eng.Close()
 }
+
+// TestLoadedReferenceUpdateRace runs a loaded checkpoint's references
+// through the one mutator and every reader at once: a trainer seeded
+// from the loaded database merges each window into its copies of them
+// (Update, which densifies those copies), an engine matches the loaded
+// database's own compiled snapshot, and the API serves both sites'
+// reference detail and checkpoints the trainer's copies throughout,
+// while the loaded database saves itself. The copies share the loaded
+// cell form, so under -race this shows the shared cells are never
+// written; after the run the loaded database still re-saves to its
+// checkpoint bytes.
+func TestLoadedReferenceUpdateRace(t *testing.T) {
+	db, val := testRefs(t, testTrace(t))
+	var ckpt bytes.Buffer
+	if err := db.SaveBinary(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := dot11fp.LoadBinaryDatabase(bytes.NewReader(ckpt.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := loaded.Config()
+
+	live := NewSite("live", SiteOptions{Window: testWindow, CheckpointPath: filepath.Join(t.TempDir(), "live.fpdb")})
+	trainer := dot11fp.NewTrainerFrom(loaded, dot11fp.TrainerOptions{Update: true})
+	liveEng, err := dot11fp.NewEngine(cfg, nil, dot11fp.EngineOptions{
+		Window: testWindow, Sink: live.Sink(nil), Trainer: trainer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Attach(liveEng, trainer, nil, cmdutil.References{})
+	static := NewSite("static", SiteOptions{Window: testWindow})
+	staticEng, err := dot11fp.NewEngine(cfg, loaded.Compile(), dot11fp.EngineOptions{
+		Window: testWindow, Sink: static.Sink(nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static.Attach(staticEng, nil, nil, cmdutil.References{DB: loaded})
+	_, ts := serveSites(t, Options{}, live, static)
+
+	done := make(chan struct{})
+	var readers, pushers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			// A checkpoint saves the trainer's copies, whose cells the
+			// loaded references share until the trainer densifies them.
+			resp, err := http.Post(ts.URL+"/api/v1/sites/live/checkpoint", "application/json", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("live checkpoint: status %d", resp.StatusCode)
+				return
+			}
+			for _, addr := range loaded.Devices() {
+				for _, site := range []string{"live", "static"} {
+					resp, err := http.Get(ts.URL + "/api/v1/sites/" + site + "/references/" + addr.String())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("%s reference %v: status %d", site, addr, resp.StatusCode)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}
+	}()
+	// The loaded references' own saves read the shared cells with no
+	// lock in common with the trainer.
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			if err := loaded.SaveBinary(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for _, eng := range []*dot11fp.Engine{liveEng, staticEng} {
+		pushers.Add(1)
+		go func() {
+			defer pushers.Done()
+			for i := range val.Records {
+				eng.Push(&val.Records[i])
+			}
+			eng.Close()
+		}()
+	}
+	pushers.Wait()
+	close(done)
+	readers.Wait()
+
+	if st := trainer.Stats(); st.Updated == 0 {
+		t.Fatalf("the trainer merged no window into a loaded reference: %+v", st)
+	}
+	addr := loaded.Devices()[0]
+	var detail struct {
+		Params map[string]uint64 `json:"observations_by_param"`
+	}
+	if code := getJSON(t, ts.URL+"/api/v1/sites/static/references/"+addr.String(), &detail); code != http.StatusOK {
+		t.Fatalf("static reference detail: status %d", code)
+	}
+	if got, want := detail.Params[cfg.Param.ShortName()], loaded.Signature(addr).Observations(); got != want {
+		t.Fatalf("static reference detail reports %d observations, want %d", got, want)
+	}
+	var resaved bytes.Buffer
+	if err := loaded.SaveBinary(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), ckpt.Bytes()) {
+		t.Fatal("the loaded references changed while the trainer updated its copies")
+	}
+}
