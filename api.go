@@ -22,8 +22,6 @@ type (
 	FrameClass = dot11.Class
 	// Param selects the network parameter a signature is built from.
 	Param = core.Param
-	// BinSpec shapes signature histograms.
-	BinSpec = core.BinSpec
 	// Config parameterises signature extraction.
 	Config = core.Config
 	// Measure selects the histogram similarity function.
@@ -37,9 +35,6 @@ type (
 	// CompiledDB is an immutable matching-optimised database snapshot
 	// with zero-allocation and batched entry points.
 	CompiledDB = core.CompiledDB
-	// IndexStats describes a compiled snapshot's match index, as
-	// surfaced by engine stats and the /metrics endpoint.
-	IndexStats = core.IndexStats
 	// MatchScratch holds the reusable buffers of the zero-allocation
 	// match path; the zero value is ready to use.
 	MatchScratch = core.MatchScratch
@@ -94,7 +89,7 @@ const DefaultWindow = core.DefaultWindow
 func DefaultConfig(p Param) Config { return core.DefaultConfig(p) }
 
 // DefaultBins returns the paper-calibrated histogram shape for a parameter.
-func DefaultBins(p Param) BinSpec { return core.DefaultBins(p) }
+func DefaultBins(p Param) core.BinSpec { return core.DefaultBins(p) }
 
 // ParamByShortName resolves "rate", "size", "mtime", "txtime", "iat",
 // "probe-ie", "probe-cap" or "probe-ssid".
@@ -141,9 +136,6 @@ func Split(tr *Trace, refDur time.Duration) (train, validation *Trace) {
 	return core.Split(tr, refDur)
 }
 
-// Windows partitions a trace into detection windows.
-func Windows(tr *Trace, window time.Duration) []*Trace { return core.Windows(tr, window) }
-
 // CandidatesIn extracts the per-window candidate signatures of a
 // validation trace.
 func CandidatesIn(tr *Trace, window time.Duration, cfg Config) []Candidate {
@@ -166,12 +158,6 @@ type (
 	// CompiledEnsemble is the immutable matching-optimised snapshot of
 	// an Ensemble, with zero-allocation and batched entry points.
 	CompiledEnsemble = core.CompiledEnsemble
-	// EnsembleScratch holds the reusable buffers of the zero-allocation
-	// fused match path; the zero value is ready to use.
-	EnsembleScratch = core.EnsembleScratch
-	// MultiCandidate is a device observed within one detection window,
-	// carrying one signature per member parameter.
-	MultiCandidate = core.MultiCandidate
 )
 
 // MaxEnsembleMembers bounds an ensemble's member count (the paper's
@@ -184,23 +170,15 @@ const MaxEnsembleMembers = core.MaxEnsembleMembers
 // "MAC randomization" section).
 type Clusterer = core.Clusterer
 
-// DefaultClusterBindings is NewClusterer's default bound on remembered
-// address→device bindings.
-const DefaultClusterBindings = core.DefaultClusterBindings
-
 // NewClusterer creates a clustering stage remembering at most
-// maxBindings rotated-address bindings (0 = DefaultClusterBindings,
-// negative = unbounded).
+// maxBindings rotated-address bindings (0 = 65,536, negative =
+// unbounded).
 func NewClusterer(maxBindings int) *Clusterer { return core.NewClusterer(maxBindings) }
 
 // NewEnsemble creates an empty multi-parameter reference ensemble over
 // the given extraction configurations (distinct parameters; the zero
 // Measure selects cosine for every member).
 func NewEnsemble(m Measure, cfgs ...Config) (*Ensemble, error) { return core.NewEnsemble(m, cfgs...) }
-
-// NewEnsembleFrom assembles an ensemble from existing member databases
-// (distinct parameters, one shared measure; adopted, not copied).
-func NewEnsembleFrom(dbs ...*Database) (*Ensemble, error) { return core.NewEnsembleFrom(dbs...) }
 
 // LoadBinaryEnsemble reads an ensemble written with Ensemble.SaveBinary
 // — the versioned multi-database checkpoint container.
@@ -241,13 +219,6 @@ type (
 	Sink = engine.Sink
 	// SinkFunc adapts a function to Sink.
 	SinkFunc = engine.SinkFunc
-	// ChannelSink forwards engine events into a channel.
-	ChannelSink = engine.ChannelSink
-	// WindowAccumulator is the incremental window/signature extractor
-	// the engine and the batch paths share.
-	WindowAccumulator = core.WindowAccumulator
-	// WindowResult is one closed window as emitted by WindowAccumulator.
-	WindowResult = core.WindowResult
 )
 
 // Verdict bounds for EngineOptions.TopK and ShardedOptions.TopK.
@@ -278,15 +249,6 @@ func NewEnsembleEngine(cfgs []Config, edb *CompiledEnsemble, opts EngineOptions)
 	return engine.NewEnsemble(cfgs, edb, opts)
 }
 
-// NewChannelSink creates a channel-backed event sink for NewEngine; a
-// full buffer backpressures the engine (lossless).
-func NewChannelSink(buffer int) *ChannelSink { return engine.NewChannelSink(buffer) }
-
-// NewDroppingChannelSink creates a channel-backed event sink whose full
-// buffer drops events (counted in ChannelSink.Dropped) instead of
-// stalling the engine.
-func NewDroppingChannelSink(buffer int) *ChannelSink { return engine.NewDroppingChannelSink(buffer) }
-
 // --- online enrollment -------------------------------------------------------
 
 // Online-enrollment types: the trainer that closes the loop from live
@@ -301,22 +263,12 @@ type (
 	TrainerOptions = engine.TrainerOptions
 	// TrainerStats is a snapshot of a trainer's counters.
 	TrainerStats = engine.TrainerStats
-	// EnrollPolicy selects what happens when a sender completes the
-	// horizon (EnrollAuto or EnrollConfirm).
-	EnrollPolicy = engine.EnrollPolicy
 	// PendingEnrollment is the trainer's view of a not-yet-enrolled
 	// sender, handed to the Confirm/Decide callbacks.
 	PendingEnrollment = engine.PendingEnrollment
 	// EnrollDecision is the three-way verdict of TrainerOptions.Decide
 	// (DecideApprove, DecideReject, DecideDefer).
 	EnrollDecision = engine.EnrollDecision
-	// DBSetter is the hot-swap half of a single-parameter engine;
-	// Engine and ShardedEngine both implement it, and Trainer.Bind
-	// takes either.
-	DBSetter = engine.DBSetter
-	// EnsembleDBSetter is the hot-swap half of an ensemble engine;
-	// Engine and ShardedEngine both implement it.
-	EnsembleDBSetter = engine.EnsembleDBSetter
 )
 
 // Enrollment policies for TrainerOptions.
@@ -379,15 +331,9 @@ type (
 	ShardedEngine = engine.Sharded
 	// ShardedOptions parameterises NewShardedEngine.
 	ShardedOptions = engine.ShardedOptions
-	// Backpressure selects the full-queue policy (BackpressureBlock or
-	// BackpressureDrop).
-	Backpressure = engine.Backpressure
 	// SenderLimits bounds per-window sender state (max senders cap +
 	// idle eviction), for both Engine and ShardedEngine.
 	SenderLimits = core.SenderLimits
-	// SenderTable is the bounded per-sender signature accumulator the
-	// engines are built on.
-	SenderTable = core.SenderTable
 )
 
 // Backpressure policies for ShardedOptions.
@@ -425,26 +371,22 @@ const (
 // ReadPcap parses a radiotap or AVS/Prism pcap stream into a trace.
 func ReadPcap(r io.Reader) (*Trace, error) { return capture.ReadPcap(r) }
 
-// PcapStream yields a capture's records one at a time without
-// materialising the trace — the engine's input path.
-type PcapStream = capture.StreamReader
-
 // ReadPcapStream opens a radiotap or AVS/Prism pcap stream for
-// record-at-a-time reading.
-func ReadPcapStream(r io.Reader) (*PcapStream, error) { return capture.NewStreamReader(r) }
+// record-at-a-time reading without materialising the trace — the
+// engine's input path.
+func ReadPcapStream(r io.Reader) (*capture.StreamReader, error) { return capture.NewStreamReader(r) }
 
 // Multi-source ingestion: several monitors (pcap files, FIFOs, stdin
 // feeds) merged into one record stream.
 type (
-	// MultiStream merges several record sources into one stream.
-	MultiStream = capture.MultiStream
-	// RecordSource is any record-at-a-time input (PcapStream implements it).
+	// RecordSource is any record-at-a-time input (ReadPcapStream's
+	// reader implements it).
 	RecordSource = capture.RecordSource
 	// MergeMode selects the interleaving (MergeByTime or MergeArrival).
 	MergeMode = capture.MergeMode
 )
 
-// Merge modes for NewMultiStream.
+// Merge modes for MultiOptions.
 const (
 	// MergeByTime interleaves records in ascending timestamp order —
 	// deterministic for file inputs.
@@ -454,15 +396,9 @@ const (
 	MergeArrival = capture.MergeArrival
 )
 
-// NewMultiStream merges the given sources; rebase shifts each source's
-// clock so its first record lands at offset zero.
-func NewMultiStream(mode MergeMode, rebase bool, sources ...RecordSource) *MultiStream {
-	return capture.NewMultiStream(mode, rebase, sources...)
-}
-
 // --- fault tolerance ---------------------------------------------------------
 
-// Fault-tolerance types: per-source supervision for MultiStream and
+// Fault-tolerance types: per-source supervision for merged streams and
 // engine health reporting (see the doc.go "Fault tolerance" section).
 type (
 	// MultiOptions parameterises NewMultiStreamOpts (merge mode, rebase,
@@ -483,8 +419,6 @@ type (
 	// EngineHealth is a snapshot of an engine's supervision state:
 	// recovered panics, stalled shards, queue depths.
 	EngineHealth = engine.Health
-	// EngineHooks are the engines' fault-injection/test points.
-	EngineHooks = engine.Hooks
 	// ComponentPanicked is the health event for a recovered panic.
 	ComponentPanicked = engine.ComponentPanicked
 	// ShardStalled is the watchdog's health event for a wedged shard.
@@ -497,15 +431,16 @@ type (
 // circuit breaker (see Supervisor.BreakerWindow).
 var ErrBreakerTripped = capture.ErrBreakerTripped
 
-// NewMultiStreamOpts merges the given sources with full options,
-// including per-source supervision.
-func NewMultiStreamOpts(opts MultiOptions, sources ...RecordSource) *MultiStream {
+// NewMultiStreamOpts merges the given sources into one record stream
+// with full options, including per-source supervision.
+func NewMultiStreamOpts(opts MultiOptions, sources ...RecordSource) *capture.MultiStream {
 	return capture.NewMultiStreamOpts(opts, sources...)
 }
 
-// WithCloser attaches a Closer to a RecordSource so MultiStream.Close
-// (and supervised reopens) can unblock a source wedged in a blocking
-// read — a PcapStream over a FIFO, closed via the underlying file.
+// WithCloser attaches a Closer to a RecordSource so closing the merged
+// stream (and supervised reopens) can unblock a source wedged in a
+// blocking read — a pcap stream over a FIFO, closed via the underlying
+// file.
 func WithCloser(src RecordSource, c io.Closer) RecordSource {
 	return capture.WithCloser(src, c)
 }
@@ -528,17 +463,13 @@ type (
 	// EvalResult carries the similarity curve, AUC and identification
 	// ratios of one run.
 	EvalResult = eval.Result
-	// CurvePoint is one threshold sample of a similarity curve.
-	CurvePoint = eval.CurvePoint
-	// TraceInfo is a Table-I style trace summary.
-	TraceInfo = eval.TraceInfo
 )
 
 // Evaluate runs the paper's similarity and identification tests on a trace.
 func Evaluate(tr *Trace, spec EvalSpec) (*EvalResult, error) { return eval.Run(tr, spec) }
 
 // DescribeTrace computes a trace's Table-I row.
-func DescribeTrace(tr *Trace, refDur time.Duration, cfg Config) TraceInfo {
+func DescribeTrace(tr *Trace, refDur time.Duration, cfg Config) eval.TraceInfo {
 	return eval.DescribeTrace(tr, refDur, cfg)
 }
 
@@ -546,9 +477,6 @@ func DescribeTrace(tr *Trace, refDur time.Duration, cfg Config) TraceInfo {
 
 // ScenarioParams configures synthetic office/conference traces.
 type ScenarioParams = scenario.Params
-
-// SimStats summarises a simulation run.
-type SimStats = sim.Stats
 
 // GenerateOffice synthesises an office-like trace (stable placements,
 // WPA, diverse cards and services).
@@ -565,4 +493,4 @@ func GenerateConference(name string, seed uint64, duration time.Duration, statio
 }
 
 // GenerateScenario synthesises a trace from explicit parameters.
-func GenerateScenario(p ScenarioParams) (*Trace, SimStats, error) { return scenario.Build(p) }
+func GenerateScenario(p ScenarioParams) (*Trace, sim.Stats, error) { return scenario.Build(p) }

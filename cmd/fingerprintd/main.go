@@ -1,8 +1,14 @@
-// Command fingerprintd is the pipeline as a long-running service: a
-// fingerprinting daemon that ingests several concurrent monitor feeds —
-// pcap files, FIFOs fed by `tcpdump -w`, or stdin — merges them into
-// one record stream, and drives a sharded, shard-per-core engine that
-// re-identifies every candidate device once per detection window.
+// Command fingerprintd is the paper's passive monitoring loop as a
+// service: it reads radiotap or AVS/Prism pcap streams record by record
+// — files, FIFOs fed by `tcpdump -w`, or stdin (`-`) — and drives a
+// sharded, shard-per-core engine that re-identifies every candidate
+// device once per detection window, printing one verdict line per
+// candidate as each window closes.
+//
+// With one input and no -rebase, window bounds print in the capture's
+// wall clock (15:04:05). Several inputs need not share a wall clock and
+// a rebased one has left its own, so their bounds print as offsets into
+// the merged stream.
 //
 // Multiple sources model multiple monitors: each input decodes on its
 // own goroutine, and -merge picks the interleaving (time for synced or
@@ -50,6 +56,7 @@
 // end:
 //
 //	go run ./cmd/tracegen -scenario office -duration 30m -stations 24 -o office.pcap
+//	go run ./cmd/fingerprintd -ref 5m -window 3m -stats 0 office.pcap
 //	go run ./cmd/fingerprintd -ref 0 -enroll -enroll-windows 2 -window 3m -save office.fpdb office.pcap
 //
 // A -param comma list (e.g. -param rate,size,iat) fuses several
@@ -67,7 +74,7 @@
 //	             [-window 5m] [-threshold 0] [-shards 0]
 //	             [-queue 8192] [-drop] [-max-senders 0] [-idle-evict 0] [-merge time]
 //	             [-listen :9077] [-pprof] [-site default] [-enroll-confirm]
-//	             [-rebase] [-cluster] [-stats 10s] [-v] input.pcap [input2.pcap ...]
+//	             [-rebase] [-cluster] [-stats 10s] [-v] input.pcap|- [input2.pcap ...]
 package main
 
 import (
@@ -157,42 +164,47 @@ func main() {
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
-	// openSource builds one input. File-backed sources carry their file
-	// as a Closer, so a supervised reopen (or shutdown) can unblock a
-	// read wedged on a FIFO whose writer went away.
+	// openSource builds one input and returns its capture clock (the
+	// wall time of T=0). File-backed sources carry their file as a
+	// Closer, so a supervised reopen (or shutdown) can unblock a read
+	// wedged on a FIFO whose writer went away.
 	names := flag.Args()
-	openSource := func(name string) (dot11fp.RecordSource, error) {
+	openSource := func(name string) (dot11fp.RecordSource, func() time.Time, error) {
 		if name == "-" {
 			src, err := dot11fp.ReadPcapStream(os.Stdin)
 			if err != nil {
-				return nil, fmt.Errorf("stdin: %w", err)
+				return nil, nil, fmt.Errorf("stdin: %w", err)
 			}
-			return src, nil
+			return src, src.Base, nil
 		}
 		f, err := os.Open(name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		src, err := dot11fp.ReadPcapStream(f)
 		if err != nil {
 			_ = f.Close() // read-only handle; the decode error is the one reported
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, nil, fmt.Errorf("%s: %w", name, err)
 		}
-		return dot11fp.WithCloser(src, f), nil
+		return dot11fp.WithCloser(src, f), src.Base, nil
 	}
 	isFIFO := make([]bool, len(names))
 	var sources []dot11fp.RecordSource
+	var base func() time.Time
 	for i, name := range names {
 		if name != "-" {
 			if info, err := os.Stat(name); err == nil {
 				isFIFO[i] = info.Mode()&os.ModeNamedPipe != 0
 			}
 		}
-		src, err := openSource(name)
+		src, clock, err := openSource(name)
 		if err != nil {
 			fatal(err)
 		}
 		sources = append(sources, src)
+		if base == nil {
+			base = clock
+		}
 	}
 	var sup dot11fp.Supervisor
 	if *sourceRetry > 0 {
@@ -202,7 +214,8 @@ func main() {
 				if names[i] == "-" {
 					return nil, fmt.Errorf("stdin is not reopenable")
 				}
-				return openSource(names[i])
+				src, _, err := openSource(names[i])
+				return src, err
 			},
 			// A FIFO's EOF only means its writer hung up — reopen and
 			// wait for the next one. A regular file's EOF is the end.
@@ -253,7 +266,7 @@ func main() {
 		trainStream = cmdutil.NewClusterSource(stream, cl)
 	}
 	cfgs, measure, refs, pending, err := cmdutil.ResolveReferences(
-		"fingerprintd", *dbPath, *ref, *paramFlag, *measureFlag, enrollFlags, trainStream, len(sources))
+		*dbPath, *ref, *paramFlag, *measureFlag, enrollFlags, trainStream, len(sources))
 	if err != nil {
 		if interrupted.Load() {
 			fmt.Fprintln(os.Stderr, "fingerprintd: interrupted during training, nothing to drain")
@@ -295,7 +308,7 @@ func main() {
 	if *drop {
 		policy = dot11fp.BackpressureDrop
 	}
-	var sink dot11fp.Sink = dot11fp.SinkFunc(cmdutil.Printer(os.Stdout, offsetStamp, *verbose))
+	var sink dot11fp.Sink = dot11fp.SinkFunc(cmdutil.Printer(os.Stdout, windowStamp(len(sources), *rebase, base), *verbose))
 	//fp:mayblock operator-facing stderr printer for rare health events (panics, stalls)
 	var healthSink dot11fp.Sink = dot11fp.SinkFunc(func(ev dot11fp.Event) {
 		switch ev := ev.(type) {
@@ -468,6 +481,19 @@ func main() {
 	if degraded {
 		fmt.Fprintln(os.Stderr, "fingerprintd: run degraded by recovered faults, exiting 3")
 		os.Exit(3)
+	}
+}
+
+// windowStamp picks how window bounds print: in the capture's wall
+// clock when a single source without -rebase sets the stream's clock
+// (base reports its wall time at T=0, known once the first record has
+// been decoded), as offsets into the merged stream otherwise.
+func windowStamp(sources int, rebase bool, base func() time.Time) func(us int64) string {
+	if sources != 1 || rebase {
+		return offsetStamp
+	}
+	return func(us int64) string {
+		return base().Add(time.Duration(us) * time.Microsecond).Format("15:04:05")
 	}
 }
 

@@ -2,13 +2,14 @@ package main
 
 import (
 	"testing"
+	"time"
 
 	"dot11fp/internal/cmdutil"
 )
 
-// TestOffsetStamp pins the window-bound rendering of the multi-source
-// daemon, which stamps offsets into the merged stream rather than wall
-// time.
+// TestOffsetStamp pins the window-bound rendering: offsets into the
+// merged stream for several sources or a rebased one, the capture's
+// wall clock for a single source read as recorded.
 func TestOffsetStamp(t *testing.T) {
 	cases := map[int64]string{
 		0:             "0s",
@@ -20,6 +21,31 @@ func TestOffsetStamp(t *testing.T) {
 	for us, want := range cases {
 		if got := offsetStamp(us); got != want {
 			t.Errorf("offsetStamp(%d) = %q, want %q", us, got, want)
+		}
+	}
+
+	base := func() time.Time { return time.Date(2012, 6, 18, 14, 59, 30, 0, time.UTC) }
+	wall := map[int64]string{
+		0:          "14:59:30",
+		30_000_000: "15:00:00",
+		90_400_000: "15:01:00", // wall stamps truncate to the second
+	}
+	for _, tc := range []struct {
+		name    string
+		sources int
+		rebase  bool
+		want    map[int64]string
+	}{
+		{"one source", 1, false, wall},
+		{"one rebased source", 1, true, cases},
+		{"two sources", 2, false, cases},
+		{"two rebased sources", 2, true, cases},
+	} {
+		stamp := windowStamp(tc.sources, tc.rebase, base)
+		for us, want := range tc.want {
+			if got := stamp(us); got != want {
+				t.Errorf("%s: stamp(%d) = %q, want %q", tc.name, us, got, want)
+			}
 		}
 	}
 }

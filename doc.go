@@ -77,11 +77,12 @@
 // retraining without dropping a frame), and Engine.Stats exposes
 // frames/s, live senders and per-verdict counters. The batch paths are
 // thin adapters over the same code: CandidatesIn replays a trace
-// through the shared WindowAccumulator and Evaluate drives an Engine,
-// so batch and streaming output are bit-identical
-// (TestEngineBitIdenticalToBatch). See cmd/livemon for the pipeline as
-// a live monitoring service and examples/livestream for the API end to
-// end. Under the hood a single-parameter engine is the fused engine of
+// through the engine's window accumulator and Evaluate drives an
+// Engine, so batch and streaming output are bit-identical
+// (TestEngineBitIdenticalToBatch). See cmd/fingerprintd for the
+// pipeline as a live monitoring service (one capture or stdin up to
+// many merged feeds) and examples/livestream for the API end to end.
+// Under the hood a single-parameter engine is the fused engine of
 // "Multi-parameter fusion" with one member.
 //
 // # Scaling
@@ -184,11 +185,11 @@
 // wires the whole loop: -enroll / -enroll-windows turn on live
 // enrollment (cold start with -ref 0), -save checkpoints on SIGHUP,
 // periodically (-checkpoint-every) and at shutdown — generation-chained
-// writes, see Fault tolerance — and -db restores either codec;
-// cmd/livemon takes -enroll for single-feed monitoring.
+// writes, see Fault tolerance — and -db restores either codec, for a
+// single feed as for several.
 //
-// Multiple monitors feed one engine through capture.MultiStream
-// (NewMultiStream): each source decodes on its own goroutine into a
+// Multiple monitors feed one engine through a merged record stream
+// (NewMultiStreamOpts): each source decodes on its own goroutine into a
 // per-source queue, publishing every record as soon as it is decoded
 // (none is held back to fill a batch, so a live feed adds no latency),
 // and the merge drains each queue in bulk — one lock per batch of up to
@@ -272,8 +273,8 @@
 // LoadBinaryEnsemble) and compiles like a Database: Compile returns a
 // CompiledEnsemble with the member snapshots frozen and the
 // fully-known reference set resolved once per reference change, plus
-// zero-allocation (MatchInto + EnsembleScratch) and batched (MatchAll)
-// fused entry points.
+// zero-allocation (MatchInto with a reusable scratch) and batched
+// (MatchAll) fused entry points.
 //
 // The streaming stack runs fused end to end. NewEnsembleEngine /
 // NewShardedEnsembleEngine extract every member parameter in one pass
@@ -312,10 +313,9 @@
 // but not others; devices that end up partially known anyway (e.g.
 // separate member training) are reported by Ensemble.Partial — they
 // can never match, because matching requires every member, and
-// NewEnsembleTrainerFrom refuses such seeds. cmd/livemon and
-// cmd/fingerprintd select fusion with a -param comma list
-// (-param rate,size,iat); fingerprintd -save checkpoints the whole
-// fused reference set in one atomic container.
+// NewEnsembleTrainerFrom refuses such seeds. cmd/fingerprintd selects
+// fusion with a -param comma list (-param rate,size,iat), and -save
+// checkpoints the whole fused reference set in one atomic container.
 //
 // # MAC randomization
 //
@@ -343,11 +343,11 @@
 // training stream wrapped by one Clusterer) all converge on the same
 // identities, and engine events simply report canonical senders.
 // EngineOptions.Cluster / ShardedOptions.Cluster enable it (nil keeps
-// the zero-allocation per-frame path untouched); livemon and
-// fingerprintd expose it as -cluster, sharing one Clusterer across the
-// training prefix and live monitoring so bindings stay warm over the
-// boundary. The binding table is FIFO-bounded (DefaultClusterBindings)
-// so address churn cannot grow it without limit. EXPERIMENTS.md
+// the zero-allocation per-frame path untouched); fingerprintd exposes
+// it as -cluster, sharing one Clusterer across the training prefix and
+// live monitoring so bindings stay warm over the boundary. The binding
+// table is FIFO-bounded (65,536 bindings unless NewClusterer is given
+// another bound) so address churn cannot grow it without limit. EXPERIMENTS.md
 // quantifies the recovery: on a fully randomized office trace, fused
 // identification goes from 0% to 92% at a 1% FPR budget once
 // clustering is on.
@@ -403,8 +403,7 @@
 // /debug/pprof). cmd/fingerprintd wires the whole face (-listen,
 // -site, -pprof, -enroll-confirm) with shutdown joined to the
 // SIGINT/SIGTERM drain — the API stays queryable until the final
-// checkpoint is on disk, then feeds are flushed and released;
-// cmd/livemon takes -listen/-site for single-feed monitoring.
+// checkpoint is on disk, then feeds are flushed and released.
 //
 // # Performance
 //

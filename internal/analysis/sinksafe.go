@@ -26,9 +26,8 @@ import (
 //   - direct I/O (os/net/bufio file and socket calls, fmt.Fprint*),
 //     and time.Sleep.
 //
-// A sink that is *documented* to block (the ChannelSink's lossless
-// mode, the CLI printers) carries //fp:mayblock with a justification on
-// the function, which exempts it.
+// A sink that is *documented* to block (the CLI printers) carries
+// //fp:mayblock with a justification on the function, which exempts it.
 var SinkSafe = &analysis.Analyzer{
 	Name: "fpsinksafe",
 	Doc:  "report blocking operations in engine event sinks",

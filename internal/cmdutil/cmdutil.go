@@ -1,6 +1,7 @@
-// Package cmdutil holds the helpers the monitoring commands — livemon
-// and fingerprintd — share, so training, flag validation, database I/O
-// and stats reporting cannot drift between the two binaries.
+// Package cmdutil holds fingerprintd's building blocks — reference
+// resolution and training, flag validation, checkpoint I/O, the verdict
+// printer and the stats lines — as functions the command wires together
+// and tests can drive without a process.
 package cmdutil
 
 import (
@@ -42,8 +43,8 @@ func ParseParams(s string) ([]dot11fp.Param, error) {
 }
 
 // References is a resolved reference set: a single-parameter database
-// or a multi-parameter ensemble — the monitoring commands treat both
-// through this one handle. The zero value is the cold start (no
+// or a multi-parameter ensemble — fingerprintd treats both through
+// this one handle. The zero value is the cold start (no
 // references yet).
 type References struct {
 	DB  *dot11fp.Database
@@ -264,22 +265,26 @@ func (f EnrollFlags) EnrollOrCompile(cfgs []dot11fp.Config, measure dot11fp.Meas
 	return
 }
 
-// ResolveReferences is the monitoring commands' shared reference
-// resolution: load a saved reference set (dbPath, any codec — the
-// param and measure names are ignored, both come from the file), train
-// on the stream's first ref duration, or accept a cold start when
-// enrollment will populate the references. paramList takes the -param
-// comma syntax; more than one parameter resolves a multi-parameter
-// ensemble. pending is the first record past a training prefix, nil
-// otherwise. Progress is reported on stderr under prefix; sources > 1
-// notes the multi-source merge.
-func ResolveReferences(prefix, dbPath string, ref time.Duration, paramList, measureName string, enroll EnrollFlags, stream dot11fp.RecordSource, sources int) (cfgs []dot11fp.Config, measure dot11fp.Measure, refs References, pending *dot11fp.Record, err error) {
+// ResolveReferences is fingerprintd's reference resolution: load a
+// saved reference set (dbPath, any codec — the param and measure names
+// are ignored, both come from the file), train on the stream's first
+// ref duration, or accept a cold start when enrollment will populate
+// the references. paramList takes the -param comma syntax; more than
+// one parameter resolves a multi-parameter ensemble. pending is the
+// first record past a training prefix, nil otherwise. Progress is
+// reported on stderr; sources > 1 notes the multi-source merge.
+func ResolveReferences(dbPath string, ref time.Duration, paramList, measureName string, enroll EnrollFlags, stream dot11fp.RecordSource, sources int) (cfgs []dot11fp.Config, measure dot11fp.Measure, refs References, pending *dot11fp.Record, err error) {
 	if dbPath != "" {
-		if refs, err = LoadReferencesFile(dbPath); err != nil {
+		var gen int
+		if refs, gen, err = LoadReferencesChain(dbPath, checkpoint.Options{}); err != nil {
 			return
 		}
+		if gen > 0 {
+			fmt.Fprintf(os.Stderr, "checkpoint: %s unreadable; recovered generation %d (%s)\n",
+				dbPath, gen, checkpoint.GenPath(dbPath, gen))
+		}
 		cfgs, measure = refs.Configs(), refs.Measure()
-		fmt.Fprintf(os.Stderr, "%s: loaded %d references (%s, %s)\n", prefix, refs.Len(), paramsLabel(cfgs), measure)
+		fmt.Fprintf(os.Stderr, "fingerprintd: loaded %d references (%s, %s)\n", refs.Len(), paramsLabel(cfgs), measure)
 		return
 	}
 	// The param/measure flags only shape training and cold starts, so
@@ -298,7 +303,7 @@ func ResolveReferences(prefix, dbPath string, ref time.Duration, paramList, meas
 		if enroll.Windows > 1 {
 			after = fmt.Sprintf(" after %d windows", enroll.Windows)
 		}
-		fmt.Fprintf(os.Stderr, "%s: cold start (%s, %s), enrolling%s\n", prefix, paramsLabel(cfgs), measure, after)
+		fmt.Fprintf(os.Stderr, "fingerprintd: cold start (%s, %s), enrolling%s\n", paramsLabel(cfgs), measure, after)
 	case ref <= 0:
 		err = fmt.Errorf("-ref 0 needs -enroll (nothing would ever match) or -db")
 	default:
@@ -310,13 +315,13 @@ func ResolveReferences(prefix, dbPath string, ref time.Duration, paramList, meas
 		if sources > 1 {
 			from += fmt.Sprintf(" of %d sources", sources)
 		}
-		fmt.Fprintf(os.Stderr, "%s: trained %d references from %s (%s)\n", prefix, refs.Len(), from, paramsLabel(cfgs))
+		fmt.Fprintf(os.Stderr, "fingerprintd: trained %d references from %s (%s)\n", refs.Len(), from, paramsLabel(cfgs))
 		if refs.Ens != nil {
 			if partial := refs.Ens.Partial(); len(partial) > 0 {
 				// The operator hears about enrolled-yet-unmatchable
 				// devices instead of wondering why they never match.
-				fmt.Fprintf(os.Stderr, "%s: %d devices cleared only some parameters and will never match: %v\n",
-					prefix, len(partial), partial)
+				fmt.Fprintf(os.Stderr, "fingerprintd: %d devices cleared only some parameters and will never match: %v\n",
+					len(partial), partial)
 			}
 		}
 	}
@@ -335,46 +340,16 @@ func paramsLabel(cfgs []dot11fp.Config) string {
 	return "fused " + strings.Join(names, "+")
 }
 
-// LoadDatabaseFile reads a single-parameter reference database from
-// disk in either codec; an ensemble checkpoint is rejected (use
-// LoadReferencesFile when fusion may be in play).
-func LoadDatabaseFile(path string) (*dot11fp.Database, error) {
-	refs, err := LoadReferencesFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if refs.Ens != nil {
-		return nil, fmt.Errorf("%s: multi-parameter ensemble checkpoint where a single database was expected", path)
-	}
-	return refs.DB, nil
-}
-
-// LoadReferencesFile reads a reference set from disk in any codec,
+// LoadReferencesChain reads a reference set from disk in any codec,
 // sniffing the leading bytes: JSON documents open with '{' (possibly
 // after indentation a hand edit left behind), binary database
 // checkpoints with "D11FPDB", ensemble containers with "D11FPENS".
 //
 // The path names a checkpoint generation chain (see
 // internal/checkpoint): when the current file is missing or corrupt,
-// the previous good generation at path.1 loads instead, with a warning
-// on stderr — a crash mid-save or a torn disk never costs the daemon
-// its references. Use LoadReferencesChain to observe which generation
-// loaded.
-func LoadReferencesFile(path string) (References, error) {
-	refs, gen, err := LoadReferencesChain(path, checkpoint.Options{})
-	if err != nil {
-		return References{}, err
-	}
-	if gen > 0 {
-		fmt.Fprintf(os.Stderr, "checkpoint: %s unreadable; recovered generation %d (%s)\n",
-			path, gen, checkpoint.GenPath(path, gen))
-	}
-	return refs, nil
-}
-
-// LoadReferencesChain is LoadReferencesFile with explicit checkpoint
-// options and the loaded generation (0 = the current file) reported —
-// the daemons' recovery-aware load.
+// the previous good generation at path.1 loads instead — a crash
+// mid-save or a torn disk never costs the daemon its references. The
+// generation that loaded is returned (0 = the current file).
 func LoadReferencesChain(path string, opts checkpoint.Options) (References, int, error) {
 	var refs References
 	gen, err := checkpoint.Load(path, opts, func(r io.Reader) error {
@@ -454,31 +429,19 @@ func VerifyReferencesHeader(r io.Reader) error {
 	}
 }
 
-// SaveDatabaseFile checkpoints a database to disk atomically: the
-// bytes land in a temporary file in the target directory which is then
-// fsynced, header-verified by re-reading, and renamed over path, so a
-// reader (or a crash) never observes a torn checkpoint — hot-swap
-// persistence. The codec follows the extension: .json writes the
-// interop JSON document, everything else the fast binary format.
-func SaveDatabaseFile(path string, db *dot11fp.Database) error {
-	return SaveReferencesCheckpoint(path, References{DB: db}, checkpoint.Options{})
-}
-
-// SaveReferencesFile is SaveDatabaseFile for a resolved reference set:
-// a single database checkpoints in either codec by extension; an
-// ensemble always writes the versioned binary container (there is no
-// JSON interop form for fused references — a .json path is rejected up
-// front rather than silently writing binary bytes under a lying name).
-func SaveReferencesFile(path string, refs References) error {
-	return SaveReferencesCheckpoint(path, refs, checkpoint.Options{})
-}
-
-// SaveReferencesCheckpoint is SaveReferencesFile with explicit
-// checkpoint options — the daemons use it to keep a generation chain
-// (Options.Generations) and to retry transient write failures with
-// backoff (Options.Retries) instead of losing a SIGHUP save to one
-// full disk. The written file is verified by re-reading its header
-// before the previous generation is disturbed.
+// SaveReferencesCheckpoint checkpoints a reference set to disk
+// atomically: the bytes land in a temporary file in the target
+// directory which is then fsynced, header-verified by re-reading, and
+// renamed over path, so a reader (or a crash) never observes a torn
+// checkpoint. A single database's codec follows the extension (.json
+// writes the interop JSON document, everything else the fast binary
+// format); an ensemble always writes the versioned binary container
+// (there is no JSON interop form for fused references — a .json path
+// is rejected up front rather than silently writing binary bytes under
+// a lying name). opts keeps a generation chain (Options.Generations)
+// and retries transient write failures with backoff (Options.Retries)
+// instead of losing a SIGHUP save to one full disk; the previous
+// generation is not disturbed until the new file verifies.
 func SaveReferencesCheckpoint(path string, refs References, opts checkpoint.Options) error {
 	var write func(w io.Writer) error
 	switch {
@@ -503,7 +466,7 @@ func SaveReferencesCheckpoint(path string, refs References, opts checkpoint.Opti
 // references: there is no JSON interop form for ensembles, so a .json
 // path would either lie about its contents or fail at checkpoint time
 // — after the daemon has learned everything it is about to lose. One
-// policy, shared by the save path and the commands' fail-fast checks.
+// policy, shared by the save path and fingerprintd's fail-fast checks.
 func CheckEnsembleSave(path string) error {
 	if strings.EqualFold(filepath.Ext(path), ".json") {
 		return fmt.Errorf("multi-parameter references checkpoint in the binary container; use a non-.json path for %s", path)
@@ -515,7 +478,7 @@ func CheckEnsembleSave(path string) error {
 // daemon that discovers a typo'd -save directory only at its first
 // SIGHUP (or at shutdown) has already lost everything it learned. The
 // probe creates and removes a temp file beside the target, the same
-// write SaveDatabaseFile will later perform.
+// write SaveReferencesCheckpoint will later perform.
 func CheckSavePath(path string) error {
 	if info, err := os.Stat(path); err == nil && info.IsDir() {
 		return fmt.Errorf("checkpoint path %s is a directory", path)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dot11fp"
+	"dot11fp/internal/checkpoint"
 	"dot11fp/internal/dot11"
 )
 
@@ -218,9 +219,10 @@ func TestEnrollFlagsNewTrainer(t *testing.T) {
 	}
 }
 
-// TestDatabaseFileRoundTrip covers SaveDatabaseFile/LoadDatabaseFile:
-// codec selection by extension, codec sniffing on load, and atomic
-// replacement of an existing checkpoint.
+// TestDatabaseFileRoundTrip covers a single database through
+// SaveReferencesCheckpoint/LoadReferencesChain: codec selection by
+// extension, codec sniffing on load, and atomic replacement of an
+// existing checkpoint.
 func TestDatabaseFileRoundTrip(t *testing.T) {
 	t.Parallel()
 	refs, _, err := TrainFromStream(&sliceSource{recs: trainRecords(t, 120)}, time.Minute, singleParam, dot11fp.MeasureCosine)
@@ -228,16 +230,21 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := refs.DB
+	save := func(path string) error { return SaveReferencesCheckpoint(path, refs, checkpoint.Options{}) }
+	load := func(path string) (*dot11fp.Database, error) {
+		loaded, _, err := LoadReferencesChain(path, checkpoint.Options{})
+		return loaded.DB, err
+	}
 	dir := t.TempDir()
 	for _, name := range []string{"ref.json", "ref.db"} {
 		path := filepath.Join(dir, name)
 		// Twice: the second save must atomically replace the first.
 		for i := 0; i < 2; i++ {
-			if err := SaveDatabaseFile(path, seed); err != nil {
+			if err := save(path); err != nil {
 				t.Fatalf("%s save %d: %v", name, i, err)
 			}
 		}
-		loaded, err := LoadDatabaseFile(path)
+		loaded, err := load(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -262,7 +269,7 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 		if err := os.Chmod(path, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveDatabaseFile(path, seed); err != nil {
+		if err := save(path); err != nil {
 			t.Fatal(err)
 		}
 		if info, err = os.Stat(path); err != nil {
@@ -289,23 +296,22 @@ func TestDatabaseFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(padded, append([]byte("\n  \t"), raw...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if loaded, err := LoadDatabaseFile(padded); err != nil || loaded.Len() != seed.Len() {
+	if loaded, err := load(padded); err != nil || loaded.Len() != seed.Len() {
 		t.Fatalf("whitespace-padded JSON rejected: %v", err)
 	}
-	if _, err := LoadDatabaseFile(filepath.Join(dir, "missing.db")); err == nil {
+	if _, err := load(filepath.Join(dir, "missing.db")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	empty := filepath.Join(dir, "empty.db")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDatabaseFile(empty); err == nil {
+	if _, err := load(empty); err == nil {
 		t.Fatal("empty file accepted")
 	}
 }
 
-// TestResolveReferences covers the monitoring commands' shared
-// reference resolution: saved database, stream training, cold start,
+// TestResolveReferences covers fingerprintd's reference resolution: saved database, stream training, cold start,
 // and the rejected -ref 0 without -enroll or -db.
 func TestResolveReferences(t *testing.T) {
 	t.Parallel()
@@ -315,13 +321,13 @@ func TestResolveReferences(t *testing.T) {
 	}
 	seed := seedRefs.DB
 	path := filepath.Join(t.TempDir(), "ref.db")
-	if err := SaveDatabaseFile(path, seed); err != nil {
+	if err := SaveReferencesCheckpoint(path, seedRefs, checkpoint.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// -db: the file decides param and measure; bogus flag values are
 	// documented as ignored and must not fail.
-	cfgs, measure, refs, pending, err := ResolveReferences("test", path, 0, "bogus", "nope", EnrollFlags{}, nil, 1)
+	cfgs, measure, refs, pending, err := ResolveReferences(path, 0, "bogus", "nope", EnrollFlags{}, nil, 1)
 	if err != nil {
 		t.Fatalf("-db with ignored bogus param/measure: %v", err)
 	}
@@ -332,28 +338,28 @@ func TestResolveReferences(t *testing.T) {
 		t.Fatalf("-db resolution took shape %v/%v from the flags, not the file", cfgs, measure)
 	}
 	// ...but without -db the same bogus values are fatal.
-	if _, _, _, _, err := ResolveReferences("test", "", time.Minute, "bogus", "cosine", EnrollFlags{}, &sliceSource{}, 1); err == nil {
+	if _, _, _, _, err := ResolveReferences("", time.Minute, "bogus", "cosine", EnrollFlags{}, &sliceSource{}, 1); err == nil {
 		t.Fatal("bogus -param accepted on the training path")
 	}
 
 	// Stream training returns the boundary record; a comma list trains
 	// a fused ensemble.
-	_, _, refs, pending, err = ResolveReferences("test", "", time.Minute, "size", "cosine",
+	_, _, refs, pending, err = ResolveReferences("", time.Minute, "size", "cosine",
 		EnrollFlags{}, &sliceSource{recs: trainRecords(t, 120)}, 1)
 	if err != nil || refs.Empty() || pending == nil {
 		t.Fatalf("training resolution: refs=%+v pending=%v err=%v", refs, pending, err)
 	}
-	cfgs, _, refs, _, err = ResolveReferences("test", "", time.Minute, "size,rate", "cosine",
+	cfgs, _, refs, _, err = ResolveReferences("", time.Minute, "size,rate", "cosine",
 		EnrollFlags{}, &sliceSource{recs: trainRecords(t, 120)}, 1)
 	if err != nil || !refs.Multi() || len(cfgs) != 2 {
 		t.Fatalf("fused training resolution: refs=%+v cfgs=%v err=%v", refs, cfgs, err)
 	}
 
 	// Cold start: no database, no error; rejected without -enroll.
-	if _, _, refs, _, err = ResolveReferences("test", "", 0, "size", "cosine", EnrollFlags{Enroll: true, Windows: 1}, nil, 1); err != nil || !refs.Empty() {
+	if _, _, refs, _, err = ResolveReferences("", 0, "size", "cosine", EnrollFlags{Enroll: true, Windows: 1}, nil, 1); err != nil || !refs.Empty() {
 		t.Fatalf("cold start: refs=%+v err=%v", refs, err)
 	}
-	if _, _, _, _, err = ResolveReferences("test", "", 0, "size", "cosine", EnrollFlags{}, nil, 1); err == nil {
+	if _, _, _, _, err = ResolveReferences("", 0, "size", "cosine", EnrollFlags{}, nil, 1); err == nil {
 		t.Fatal("-ref 0 without -enroll or -db accepted")
 	}
 
@@ -382,7 +388,7 @@ func TestResolveReferences(t *testing.T) {
 }
 
 // TestEnsembleReferencesFileRoundTrip covers the fused checkpoint path
-// end to end: SaveReferencesFile writes the binary container, codec
+// end to end: SaveReferencesCheckpoint writes the binary container, codec
 // sniffing restores it, and the .json extension is rejected up front.
 func TestEnsembleReferencesFileRoundTrip(t *testing.T) {
 	t.Parallel()
@@ -393,10 +399,10 @@ func TestEnsembleReferencesFileRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fused.fpdb")
-	if err := SaveReferencesFile(path, fused); err != nil {
+	if err := SaveReferencesCheckpoint(path, fused, checkpoint.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadReferencesFile(path)
+	loaded, _, err := LoadReferencesChain(path, checkpoint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,14 +412,9 @@ func TestEnsembleReferencesFileRoundTrip(t *testing.T) {
 	if got := loaded.Configs(); got[0].Param != dot11fp.ParamSize || got[1].Param != dot11fp.ParamRate {
 		t.Fatalf("loaded configs = %v", got)
 	}
-	// The single-database loader refuses an ensemble container rather
-	// than misparsing it.
-	if _, err := LoadDatabaseFile(path); err == nil {
-		t.Fatal("LoadDatabaseFile accepted an ensemble container")
-	}
 	// No JSON interop form for ensembles: fail fast, write nothing.
 	jsonPath := filepath.Join(dir, "fused.json")
-	if err := SaveReferencesFile(jsonPath, fused); err == nil {
+	if err := SaveReferencesCheckpoint(jsonPath, fused, checkpoint.Options{}); err == nil {
 		t.Fatal(".json ensemble checkpoint accepted")
 	}
 	if _, err := os.Stat(jsonPath); !os.IsNotExist(err) {
@@ -484,11 +485,11 @@ func TestPrinterShape(t *testing.T) {
 func TestStatsLines(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	StatsLine(&buf, "livemon", dot11fp.EngineStats{
+	StatsLine(&buf, "fingerprintd", dot11fp.EngineStats{
 		Frames: 1000, Elapsed: time.Second, FramesPerSec: 1000,
 		WindowsClosed: 2, Matched: 3, Unknown: 1, Candidates: 4,
 	})
-	for _, want := range []string{"livemon:", "1000 frames", "2 windows", "4 candidates", "3 matched"} {
+	for _, want := range []string{"fingerprintd:", "1000 frames", "2 windows", "4 candidates", "3 matched"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("stats line %q is missing %q", buf.String(), want)
 		}

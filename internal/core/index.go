@@ -47,8 +47,6 @@ type IndexStats struct {
 	References int `json:"references,omitempty"`
 	// Classes is the number of frame classes carrying index data.
 	Classes int `json:"classes,omitempty"`
-	// Coarse is always 0; the key stays for API stability.
-	Coarse int `json:"coarse,omitempty"`
 	// Entries is the number of non-zero (reference, bin) cells stored.
 	Entries int64 `json:"entries,omitempty"`
 	// Postings is the number of inverted-index entries.

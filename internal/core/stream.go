@@ -18,7 +18,7 @@ import (
 // signatures and slices may be retained or mutated freely.
 type WindowResult struct {
 	// Index is the window ordinal among non-empty windows, exactly as
-	// Windows and CandidatesIn number them.
+	// CandidatesIn numbers them.
 	Index int
 	// Start and End bound the window in trace time [Start, End) µs.
 	// For a non-positive window size the whole stream is one window

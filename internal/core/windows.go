@@ -22,29 +22,6 @@ func Split(tr *capture.Trace, refDur time.Duration) (train, validation *capture.
 	return tr.Slice(-1<<62, cut), tr.Slice(cut, 1<<62)
 }
 
-// Windows partitions a trace into consecutive detection windows of the
-// given size, anchored at the trace's first record. Empty windows are
-// skipped. A non-positive window yields the whole trace as one window.
-func Windows(tr *capture.Trace, window time.Duration) []*capture.Trace {
-	if len(tr.Records) == 0 {
-		return nil
-	}
-	w := window.Microseconds()
-	if w <= 0 {
-		return []*capture.Trace{tr}
-	}
-	start := tr.Records[0].T
-	end := tr.Records[len(tr.Records)-1].T
-	var out []*capture.Trace
-	for t := start; t <= end; t += w {
-		s := tr.Slice(t, t+w)
-		if len(s.Records) > 0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Candidate is one device observed in one detection window.
 type Candidate struct {
 	Addr   [6]byte // dot11.Addr; kept comparable for map keys

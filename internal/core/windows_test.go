@@ -250,3 +250,27 @@ func TestSplitEdgeCases(t *testing.T) {
 		t.Fatalf("validation records = %+v", valid.Records)
 	}
 }
+
+// Windows partitions a trace into consecutive detection windows of the
+// given size, anchored at the trace's first record — the naive oracle
+// the tests check CandidatesIn's streamed windowing against. Empty windows are
+// skipped. A non-positive window yields the whole trace as one window.
+func Windows(tr *capture.Trace, window time.Duration) []*capture.Trace {
+	if len(tr.Records) == 0 {
+		return nil
+	}
+	w := window.Microseconds()
+	if w <= 0 {
+		return []*capture.Trace{tr}
+	}
+	start := tr.Records[0].T
+	end := tr.Records[len(tr.Records)-1].T
+	var out []*capture.Trace
+	for t := start; t <= end; t += w {
+		s := tr.Slice(t, t+w)
+		if len(s.Records) > 0 {
+			out = append(out, s)
+		}
+	}
+	return out
+}

@@ -393,32 +393,6 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
-// TestEngineChannelSink checks the channel delivery path end to end.
-func TestEngineChannelSink(t *testing.T) {
-	t.Parallel()
-	tr := edgeTrace()
-	cfg := core.Config{Param: core.ParamSize, MinObservations: 10}
-	sink := engine.NewChannelSink(1024)
-	eng, err := engine.New(cfg, nil, engine.Options{Window: time.Minute, Sink: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan int)
-	go func() {
-		n := 0
-		for range sink.C {
-			n++
-		}
-		done <- n
-	}()
-	eng.PushTrace(tr)
-	eng.Close()
-	sink.Close()
-	if n := <-done; n == 0 {
-		t.Fatal("no events delivered through the channel")
-	}
-}
-
 // TestEnginePushAfterClosePanics pins the sealed-stream contract.
 func TestEnginePushAfterClosePanics(t *testing.T) {
 	t.Parallel()

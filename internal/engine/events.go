@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"dot11fp/internal/core"
 	"dot11fp/internal/dot11"
 )
@@ -226,65 +224,3 @@ type SinkFunc func(Event)
 
 // HandleEvent implements Sink.
 func (f SinkFunc) HandleEvent(ev Event) { f(ev) }
-
-// ChannelSink forwards events into a channel, for consumers that want
-// to select on the stream instead of registering a callback.
-//
-// The full-buffer policy is explicit and fixed at construction:
-//
-//   - Blocking (NewChannelSink, the default): a send into a full
-//     channel waits, backpressuring the engine exactly like any other
-//     slow Sink — lossless, end-to-end flow control. A consumer that
-//     stops draining stalls the stream at the next window boundary.
-//   - Dropping (NewDroppingChannelSink): a send into a full channel
-//     discards the event and counts it in Dropped — the engine never
-//     stalls on this sink, at the cost of a gappy (but counted) stream.
-//     This is the building block for fanning events out to consumers
-//     that must not backpressure the pipeline, e.g. the HTTP server's
-//     SSE feed.
-//
-// Either way the channel is never silently lossy: events are delivered
-// in order, and every event not delivered is visible in Dropped().
-type ChannelSink struct {
-	// C carries the events. The engine never closes it; the owner of
-	// the stream calls Close after Engine.Close has returned.
-	C chan Event
-
-	dropOnFull bool
-	dropped    atomic.Uint64
-}
-
-// NewChannelSink creates a blocking sink buffering up to buffer
-// events: a full buffer backpressures the engine (lossless).
-func NewChannelSink(buffer int) *ChannelSink {
-	return &ChannelSink{C: make(chan Event, buffer)}
-}
-
-// NewDroppingChannelSink creates a non-blocking sink buffering up to
-// buffer events: a full buffer drops the event and counts it in
-// Dropped instead of stalling the engine.
-func NewDroppingChannelSink(buffer int) *ChannelSink {
-	return &ChannelSink{C: make(chan Event, buffer), dropOnFull: true}
-}
-
-// HandleEvent implements Sink under the sink's full-buffer policy.
-//
-//fp:mayblock lossless mode blocks on a full C by documented contract; dropOnFull is the non-blocking policy
-func (s *ChannelSink) HandleEvent(ev Event) {
-	if s.dropOnFull {
-		select {
-		case s.C <- ev:
-		default:
-			s.dropped.Add(1)
-		}
-		return
-	}
-	s.C <- ev
-}
-
-// Dropped returns the number of events discarded by a dropping sink
-// (always 0 for a blocking one). Safe from any goroutine.
-func (s *ChannelSink) Dropped() uint64 { return s.dropped.Load() }
-
-// Close closes the event channel, releasing range loops over C.
-func (s *ChannelSink) Close() { close(s.C) }

@@ -233,8 +233,8 @@ func TestShardedWatchdogStall(t *testing.T) {
 	t.Parallel()
 	gate := make(chan struct{})
 	var gated atomic.Bool
-	hsink := engine.NewChannelSink(64)
-	events := hsink.C
+	events := make(chan engine.Event, 64)
+	hsink := engine.SinkFunc(func(ev engine.Event) { events <- ev })
 	eng, err := engine.NewSharded(core.Config{Param: core.ParamSize, MinObservations: 1}, nil,
 		engine.ShardedOptions{
 			Window:     time.Hour, // no window churn: pure ingest

@@ -32,7 +32,7 @@ const (
 	// returning altogether still stalls Push at the next window
 	// boundary — Drop bounds loss to data, it does not make a
 	// permanently wedged sink survivable; a sink with its own overflow
-	// policy (e.g. draining a ChannelSink) is the tool for that.
+	// policy (e.g. the server's dropping SSE fanout) is the tool for that.
 	Drop
 )
 

@@ -60,7 +60,7 @@ func TestSnapshotJSONStable(t *testing.T) {
 		Candidates: 5, Matched: 6, Unknown: 7, Dropped: 8, Evicted: 9,
 		Elapsed: 10 * time.Second, FramesPerSec: 11.5,
 		Index: core.IndexStats{
-			Enabled: true, References: 12, Classes: 13, Coarse: 14,
+			Enabled: true, References: 12, Classes: 13,
 			Entries: 15, Postings: 16, IndexBytes: 17, DenseBytes: 18,
 		},
 	}
@@ -75,7 +75,7 @@ func TestSnapshotJSONStable(t *testing.T) {
 		t.Fatalf("Stats JSON keys drifted:\n got  %v\n want %v", got, wantStats)
 	}
 	wantIndex := []string{
-		"classes", "coarse", "dense_bytes", "enabled", "entries",
+		"classes", "dense_bytes", "enabled", "entries",
 		"index_bytes", "postings", "references",
 	}
 	if got := jsonKeys(t, stats.Index); !reflect.DeepEqual(got, wantIndex) {

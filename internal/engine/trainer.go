@@ -68,13 +68,6 @@ type DBSetter interface {
 	SetDB(*core.CompiledDB) error
 }
 
-// EnsembleDBSetter is the hot-swap half of an ensemble engine; *Engine
-// and *Sharded both implement it (the call fails on engines built for
-// a single parameter).
-type EnsembleDBSetter interface {
-	SetEnsembleDB(*core.CompiledEnsemble) error
-}
-
 // installer is the swap the trainer drives: the engines' shape-checked
 // reference install, whichever shape they answer in.
 type installer interface {
@@ -405,6 +398,20 @@ func (t *Trainer) Ensemble() *core.Ensemble {
 		return nil
 	}
 	return t.clone()
+}
+
+// Observations appends the reference addr's accumulated observation
+// count per member (in member order) to dst, read under the lock
+// without copying the references: a one-device query costs no clone.
+// Nothing is appended when addr is not a fully-known reference.
+func (t *Trainer) Observations(dst []uint64, addr dot11.Addr) []uint64 {
+	var buf [core.MaxEnsembleMembers]*core.Signature
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, sig := range t.ens.SignaturesInto(buf[:0], addr) {
+		dst = append(dst, sig.Observations())
+	}
+	return dst
 }
 
 // clone deep-copies the working references under the lock.

@@ -37,9 +37,12 @@ func collectTrainer(te *trainEvents) engine.SinkFunc {
 func batchTrainPerWindow(t *testing.T, prefix *capture.Trace, window time.Duration, cfg core.Config) *core.Database {
 	t.Helper()
 	db := core.NewDatabase(cfg, core.MeasureCosine)
-	for _, win := range core.Windows(prefix, window) {
-		if err := db.Train(win); err != nil {
-			t.Fatal(err)
+	w := window.Microseconds()
+	for start := prefix.Records[0].T; start <= prefix.Records[len(prefix.Records)-1].T; start += w {
+		if win := prefix.Slice(start, start+w); len(win.Records) > 0 {
+			if err := db.Train(win); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return db

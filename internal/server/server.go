@@ -210,35 +210,44 @@ func (s *Server) handleReference(w http.ResponseWriter, r *http.Request, site *S
 		return
 	}
 	site.mu.RLock()
-	refsFn := site.refsFn
+	refsFn, trainer := site.refsFn, site.trainer
 	site.mu.RUnlock()
 	if refsFn == nil {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("site %q has no engine attached", site.Name()))
 		return
 	}
-	refs := refsFn()
-	detail := referenceDetail{Addr: addr.String(), Params: make(map[string]uint64)}
-	switch {
-	case refs.Ens != nil:
-		var buf [dot11fp.MaxEnsembleMembers]*dot11fp.Signature
-		sigs := refs.Ens.SignaturesInto(buf[:0], addr)
-		if sigs == nil {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
-			return
+	var buf [dot11fp.MaxEnsembleMembers]uint64
+	obs := buf[:0]
+	var cfgs []dot11fp.Config
+	if trainer != nil {
+		// The trainer's references are read in place under its lock, so
+		// a one-device query copies none of them. Its Configs is nil for
+		// a single-parameter trainer; fall back to the sole Config.
+		if cfgs = trainer.Configs(); len(cfgs) == 0 {
+			cfgs = []dot11fp.Config{trainer.Config()}
 		}
-		for i, cfg := range refs.Ens.Configs() {
-			detail.Params[cfg.Param.ShortName()] = sigs[i].Observations()
+		obs = trainer.Observations(obs, addr)
+	} else {
+		refs := refsFn()
+		var sigs [dot11fp.MaxEnsembleMembers]*dot11fp.Signature
+		switch cfgs = refs.Configs(); {
+		case refs.Ens != nil:
+			for _, sig := range refs.Ens.SignaturesInto(sigs[:0], addr) {
+				obs = append(obs, sig.Observations())
+			}
+		case refs.DB != nil:
+			if sig := refs.DB.Signature(addr); sig != nil {
+				obs = append(obs, sig.Observations())
+			}
 		}
-	case refs.DB != nil:
-		sig := refs.DB.Signature(addr)
-		if sig == nil {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
-			return
-		}
-		detail.Params[refs.DB.Config().Param.ShortName()] = sig.Observations()
-	default:
+	}
+	if len(obs) == 0 {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("no reference for %s", addr))
 		return
+	}
+	detail := referenceDetail{Addr: addr.String(), Params: make(map[string]uint64, len(obs))}
+	for i, cfg := range cfgs {
+		detail.Params[cfg.Param.ShortName()] = obs[i]
 	}
 	writeJSON(w, http.StatusOK, detail)
 }

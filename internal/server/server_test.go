@@ -577,6 +577,67 @@ func TestPushZeroAllocsWithServerAttached(t *testing.T) {
 	eng.Close()
 }
 
+// discardResponse is a reusable ResponseWriter that keeps only the
+// status, so a handler's own allocations can be counted.
+type discardResponse struct {
+	header http.Header
+	code   int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
+// TestReferenceDetailCopiesNothing pins the cost of a reference-detail
+// query on a trainer-attached site: it reads the one device's counts in
+// place, so a request allocates the same with 10 trainer-held
+// references as with 200 — no copy of the reference set per request.
+func TestReferenceDetailCopiesNothing(t *testing.T) {
+	cfg := dot11fp.DefaultConfig(dot11fp.ParamSize)
+	cfg.MinObservations = 1
+	allocs := func(refs int) float64 {
+		tr := &dot11fp.Trace{}
+		for i := range refs * 4 {
+			tr.Records = append(tr.Records, dot11fp.Record{
+				T: int64(i) * 1000, Sender: dot11.LocalAddr(uint64(1 + i%refs)),
+				Class: dot11.ClassData, Size: 100 + 10*(i%refs), RateMbps: 24, FCSOK: true,
+			})
+		}
+		db := dot11fp.NewDatabase(cfg, dot11fp.MeasureCosine)
+		if err := db.Train(tr); err != nil {
+			t.Fatal(err)
+		}
+		if db.Len() != refs {
+			t.Fatalf("trained %d references, want %d", db.Len(), refs)
+		}
+		trainer := dot11fp.NewTrainerFrom(db, dot11fp.TrainerOptions{})
+		site := NewSite("s", SiteOptions{Window: testWindow})
+		eng, err := dot11fp.NewEngine(cfg, nil, dot11fp.EngineOptions{
+			Window: testWindow, Sink: site.Sink(nil), Trainer: trainer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		site.Attach(eng, trainer, nil, cmdutil.References{})
+		reg := NewRegistry()
+		if err := reg.Add(site); err != nil {
+			t.Fatal(err)
+		}
+		h := New(reg, Options{}).Handler()
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/sites/s/references/"+dot11.LocalAddr(1).String(), nil)
+		w := &discardResponse{header: http.Header{}}
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("%d references: status %d", refs, w.code)
+		}
+		return testing.AllocsPerRun(50, func() { h.ServeHTTP(w, req) })
+	}
+	if few, many := allocs(10), allocs(200); few != many {
+		t.Fatalf("a reference-detail request allocates %v times with 10 trainer references, %v with 200", few, many)
+	}
+}
+
 // TestLoadedReferenceUpdateRace runs a loaded checkpoint's references
 // through the one mutator and every reader at once: a trainer seeded
 // from the loaded database merges each window into its copies of them

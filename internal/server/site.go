@@ -147,7 +147,7 @@ func (s *Site) Sink(next dot11fp.Sink) dot11fp.Sink {
 
 // Attach binds the running engine and its companions to the site.
 // trainer may be nil (no online enrollment); srcStats may be nil (no
-// supervised capture sources — e.g. livemon's single stream). The
+// supervised capture sources, as in a test or an embedding). The
 // site's reference snapshot for checkpoints comes from the trainer
 // when one is attached (the live, learning copy), else from static —
 // which may be empty for reference-less runs.
