@@ -440,20 +440,25 @@
 // with results bit-identical to the serial path. EXPERIMENTS.md records
 // the measured numbers.
 //
+// A signature holds each frame class's counts as ascending (bin, count)
+// cells of 8 bytes, dense past 64 cells. A live sender costs, per
+// member, a 120-byte Signature (members in one allocation) and, per
+// class, a cell buffer doubling from 4 cells that sender tables recycle:
+// under a new MAC per frame a three-member sender holds ~540 bytes of
+// live heap, not ~10 KB of dense histograms (TestSenderTableSprayHeap).
+//
 // Cold start — fingerprintd -db, the server's checkpoint load, every
 // checkpoint-chain restore — is LoadBinary (or LoadBinaryEnsemble)
 // followed by Compile, and both scale with the non-zero cells, not with
 // references × frame classes × bins. The loader decodes each histogram's
-// varint counts straight out of its read buffer and keeps only the
-// non-zero ones (bin and count, 12 bytes), in chunks shared across
-// histograms; a histogram more than two-thirds full stays dense. A
-// loaded reference keeps this read-only cell form, shared by its clones,
-// until its first Add or Merge; Compile walks the cells directly. On the
-// fleet-match checkpoint (5.3 MB, 1,547 fused references, two 512-bin
-// members, 308,641 non-zero cells of 5.28 M) the loaded ensemble holds
-// ~7 MB of live heap instead of ~45 MB, and a load plus a fresh Compile
-// take about 13–17 and 8–11 ms on a 2-vCPU Xeon; EXPERIMENTS.md
-// ("Cold start", "Sparse reference store") has the pairs.
+// varint counts straight out of its read buffer into cells, in chunks
+// shared across histograms and with clones until first written; a
+// histogram more than half full is stored dense. On the fleet-match
+// checkpoint (5.3 MB, 1,547 fused references, two 512-bin members,
+// 308,641 non-zero cells of 5.28 M) the loaded ensemble holds ~3.5 MB
+// of live heap instead of ~45 MB dense, and a load takes about 7–9 ms
+// on a 2-vCPU Xeon; EXPERIMENTS.md ("Cold start", "Sparse reference
+// store", "Sparse window signatures") has the pairs.
 //
 // # Indexed matching
 //

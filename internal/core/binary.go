@@ -113,15 +113,17 @@ func (db *Database) SaveBinary(w io.Writer) error {
 		classes := sig.Classes()
 		bw.WriteByte(byte(len(classes)))
 		for _, class := range classes {
-			r, _ := sig.row(class)
+			r := sig.row(class)
 			bw.WriteByte(byte(class))
 			bw.Write(varint[:binary.PutUvarint(varint[:], r.dropped)])
-			k := 0 // next stored count; a cell row's gaps are written as zeros
+			k := 0 // next stored entry; a cell row's gaps are written as zeros
 			for j := 0; j < db.cfg.Bins.Bins; j++ {
 				var c uint64
-				if k < len(r.counts) && r.bin(k) == j {
-					c = r.counts[k]
-					k++
+				if k < len(r.counts) {
+					if bin, n := r.cell(k); bin == j {
+						c = n
+						k++
+					}
 				}
 				bw.Write(varint[:binary.PutUvarint(varint[:], c)])
 			}
@@ -218,7 +220,6 @@ func LoadBinary(r io.Reader) (*Database, error) {
 	cfg := Config{Param: param, Bins: BinSpec{Bins: bins, Width: width, LogKnee: knee}, MinObservations: minObs}
 	db := NewDatabase(cfg, measure)
 	var arena cellArena
-	var rows []cellRow
 	// The device loop allocates per device actually present in the
 	// stream, never from the claimed count alone: a huge count over a
 	// short stream fails at the first missing byte.
@@ -238,7 +239,6 @@ func LoadBinary(r io.Reader) (*Database, error) {
 			return nil, corruptf("device %v claims %d frame classes (max %d)", addr, nClasses, dot11.NumClasses)
 		}
 		sig := NewSignature(param, cfg.Bins)
-		rows = rows[:0]                 // the device's classes in cell form
 		var seen [dot11.NumClasses]bool // the device's classes so far
 		for k := 0; k < int(nClasses); k++ {
 			cb, err := br.ReadByte()
@@ -261,18 +261,19 @@ func LoadBinary(r io.Reader) (*Database, error) {
 			if err != nil {
 				return nil, corruptf("device %v class %v bin %d: %v", addr, class, bin, err)
 			}
-			r := cellRow{class: class, total: total, dropped: dropped}
-			if r.bins, r.counts = arena.cells(); 3*len(r.bins) > 2*bins {
-				// Past 2/3 full, cells (12 B each) outweigh dense (8 B a bin).
-				h := r.hist(cfg.Bins)
-				sig.setHist(class, &h)
-				continue
+			r := classRow{counts: arena.cells(), total: total, dropped: dropped, form: rowShared}
+			if len(arena.wide) > 0 || 2*len(r.counts) > bins {
+				// Past half full, dense counts cost at most twice the
+				// cells and index in O(1); a count too large for a cell
+				// needs them anyway.
+				r.counts, r.form = r.dense(bins), rowDense
+				for _, w := range arena.wide {
+					r.counts[w.bin] = w.n
+				}
+			} else {
+				arena.keep()
 			}
-			arena.keep()
-			rows = append(rows, r)
-		}
-		if len(rows) > 0 {
-			sig.setCells(rows)
+			sig.setRow(class, r)
 		}
 		if err := db.Add(addr, sig); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBinaryDatabase, err)
@@ -283,37 +284,46 @@ func LoadBinary(r io.Reader) (*Database, error) {
 
 // cellArena holds a load's decoded cells in chunks shared by the
 // histograms they hold, so a load allocates per chunk, not per
-// histogram. The cells from start on are the histogram being decoded.
+// histogram. The cells of buf from start on are the histogram being decoded;
+// wide holds its counts too large for a cell (their cells read 0).
 type cellArena struct {
-	bins   []int32
-	counts []uint64
-	start  int
+	buf   []uint64
+	start int
+	wide  []wideCount
 }
 
-// push appends one non-zero cell of the histogram being decoded.
+// wideCount is one count past cellMax, with its bin.
+type wideCount struct {
+	bin int
+	n   uint64
+}
+
+// push appends one non-zero count of the histogram being decoded.
 func (a *cellArena) push(bin int, c uint64) {
-	if len(a.bins) == cap(a.bins) {
+	if c > cellMax {
+		a.wide = append(a.wide, wideCount{bin, c})
+		c = 0
+	}
+	if len(a.buf) == cap(a.buf) {
 		// Move the histogram's cells to a fresh chunk (256 cells
 		// doubling to 64 Ki); the old one stays with the kept ones.
-		live := len(a.bins) - a.start
-		size := max(min(2*cap(a.bins), 1<<16), 256, 2*live)
-		a.bins = append(make([]int32, 0, size), a.bins[a.start:]...)
-		a.counts = append(make([]uint64, 0, size), a.counts[a.start:]...)
+		live := len(a.buf) - a.start
+		size := max(min(2*cap(a.buf), 1<<16), 256, 2*live)
+		a.buf = append(make([]uint64, 0, size), a.buf[a.start:]...)
 		a.start = 0
 	}
-	a.bins = append(a.bins, int32(bin))
-	a.counts = append(a.counts, c)
+	a.buf = append(a.buf, uint64(bin)<<cellShift|c)
 }
 
 // cells returns the histogram just read, capped so an append cannot
 // reach the next one's; keep hands them over for good, and cells not
 // kept are overwritten by the next read.
-func (a *cellArena) cells() ([]int32, []uint64) {
-	n := len(a.bins)
-	return a.bins[a.start:n:n], a.counts[a.start:n:n]
+func (a *cellArena) cells() []uint64 {
+	n := len(a.buf)
+	return a.buf[a.start:n:n]
 }
 
-func (a *cellArena) keep() { a.start = len(a.bins) }
+func (a *cellArena) keep() { a.start = len(a.buf) }
 
 // read decodes one histogram's bins uvarint counts straight out of br's
 // buffered window (Peek + Discard) and pushes only the non-zero ones: a
@@ -325,7 +335,7 @@ func (a *cellArena) keep() { a.start = len(a.bins) }
 // sniffing share br) and returns their sum. Memory follows the bytes
 // the stream has shown, not the claimed bin count.
 func (a *cellArena) read(br *bufio.Reader, bins int) (uint64, int, error) {
-	a.bins, a.counts = a.bins[:a.start], a.counts[:a.start]
+	a.buf, a.wide = a.buf[:a.start], a.wide[:0]
 	var total uint64
 	i := 0 // next bin
 	for i < bins {

@@ -114,7 +114,7 @@ func loadBinaryReference(r io.Reader) (*Database, error) {
 			if int(cb) >= dot11.NumClasses {
 				return nil, corruptf("device %v: unknown frame class %d", addr, cb)
 			}
-			if sig.Hist(class) != nil {
+			if sig.row(class) != nil {
 				return nil, corruptf("device %v: duplicate frame class %v", addr, class)
 			}
 			dropped, err := binary.ReadUvarint(br)
@@ -133,7 +133,7 @@ func loadBinaryReference(r io.Reader) (*Database, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: device %v class %v: %v", ErrBinaryDatabase, addr, class, err)
 			}
-			sig.setHist(class, &h)
+			sig.setRow(class, classRow{counts: h.CountsView(), total: h.Total(), dropped: h.Dropped(), form: rowDense})
 		}
 		if err := db.Add(addr, sig); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBinaryDatabase, err)
@@ -237,32 +237,27 @@ func sameCounts(t *testing.T, label string, want, got *Database) {
 	}
 	for _, addr := range want.order {
 		ws, gs := want.refs[addr], got.refs[addr]
-		if ws.total != gs.total || ws.nhist != gs.nhist {
+		if ws.total != gs.total || ws.nrows != gs.nrows {
 			t.Fatalf("%s: device %v holds %d observations in %d classes, reference %d in %d",
-				label, addr, gs.total, gs.nhist, ws.total, ws.nhist)
+				label, addr, gs.total, gs.nrows, ws.total, ws.nrows)
 		}
-		for c := range ws.hists {
+		for c := range ws.slot {
 			class := dot11.Class(c)
-			wr, wok := ws.row(class)
-			gr, gok := gs.row(class)
-			if wok != gok {
-				t.Fatalf("%s: device %v class %v present %v, reference %v", label, addr, class, gok, wok)
+			wr, gr := ws.row(class), gs.row(class)
+			if (wr != nil) != (gr != nil) {
+				t.Fatalf("%s: device %v class %v present %v, reference %v", label, addr, class, gr != nil, wr != nil)
 			}
-			if !wok {
+			if wr == nil {
 				continue
 			}
 			if gr.total != wr.total || gr.dropped != wr.dropped {
 				t.Fatalf("%s: device %v class %v total/dropped %d/%d, reference %d/%d",
 					label, addr, class, gr.total, gr.dropped, wr.total, wr.dropped)
 			}
-			for k := range gr.bins {
-				if gr.counts[k] == 0 || (k > 0 && gr.bins[k] <= gr.bins[k-1]) {
-					t.Fatalf("%s: device %v class %v: cell %d (bin %d, count %d) breaks the cell form",
-						label, addr, class, k, gr.bins[k], gr.counts[k])
-				}
+			if err := gr.check(gs.bins.Bins); err != nil {
+				t.Fatalf("%s: device %v class %v: %v", label, addr, class, err)
 			}
-			wh, gh := wr.hist(ws.bins), gr.hist(gs.bins)
-			if !slices.Equal(wh.CountsView(), gh.CountsView()) {
+			if !slices.Equal(wr.dense(ws.bins.Bins), gr.dense(gs.bins.Bins)) {
 				t.Fatalf("%s: device %v class %v counts differ from the reference decoder's", label, addr, class)
 			}
 		}

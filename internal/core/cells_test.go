@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -9,22 +10,19 @@ import (
 	"unsafe"
 
 	"dot11fp/internal/dot11"
-	"dot11fp/internal/histogram"
 )
 
 // TestSignatureSizeClass pins the sizes the live path allocates by. One
 // Signature is allocated per admitted sender per member per window, so
-// a Signature grown past the runtime's 704-byte size class costs every
-// window of every sender; a field added to Histogram counts thirteen
-// times over, once per inline frame-class slot. The cell form of loaded
-// references hangs off one pointer for this reason.
+// it must stay in the runtime's 128-byte size class; one classRow sits
+// inline in it, so a field added to classRow counts twice.
 func TestSignatureSizeClass(t *testing.T) {
-	t.Logf("Signature %d B, Histogram %d B", unsafe.Sizeof(Signature{}), unsafe.Sizeof(histogram.Histogram{}))
-	if got := unsafe.Sizeof(Signature{}); got > 704 {
-		t.Errorf("Signature is %d B, past the 704-byte size class", got)
+	t.Logf("Signature %d B, classRow %d B", unsafe.Sizeof(Signature{}), unsafe.Sizeof(classRow{}))
+	if got := unsafe.Sizeof(Signature{}); got > 128 {
+		t.Errorf("Signature is %d B, past the 128-byte size class", got)
 	}
-	if got := unsafe.Sizeof(histogram.Histogram{}); got != 48 {
-		t.Errorf("Histogram is %d B, want 48 (13 of them sit inline in every Signature)", got)
+	if got := unsafe.Sizeof(classRow{}); got != 48 {
+		t.Errorf("classRow is %d B, want 48 (one sits inline in every Signature)", got)
 	}
 }
 
@@ -49,11 +47,15 @@ func reloadedEnsemble(t testing.TB, e *Ensemble) *Ensemble {
 	return out
 }
 
-// densified returns a copy of db whose signatures are all dense.
+// densified returns a copy of db whose rows are all dense.
 func densified(db *Database) *Database {
 	out := db.Clone()
 	for _, sig := range out.refs {
-		sig.densify()
+		for c := range sig.slot {
+			if r := sig.row(dot11.Class(c)); r != nil {
+				r.counts, r.form = r.dense(sig.bins.Bins), rowDense
+			}
+		}
 	}
 	return out
 }
@@ -62,11 +64,36 @@ func densified(db *Database) *Database {
 func cellRows(db *Database) int {
 	n := 0
 	for _, sig := range db.refs {
-		if sig.cells != nil {
-			n += len(*sig.cells)
+		for c := range sig.slot {
+			if r := sig.row(dot11.Class(c)); r != nil && r.form != rowDense {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// check reports a broken row invariant: a dense row holds one count
+// per bin; cells ascend by bin, sit below bins and carry non-zero
+// counts; either way the counts sum to the total.
+func (r *classRow) check(bins int) error {
+	if r.form == rowDense && len(r.counts) != bins {
+		return fmt.Errorf("dense row of %d counts, want %d", len(r.counts), bins)
+	}
+	var sum uint64
+	for k := range r.counts {
+		j, n := r.cell(k)
+		if r.form != rowDense {
+			if n == 0 || j >= bins || (k > 0 && r.counts[k-1]>>cellShift >= uint64(j)) {
+				return fmt.Errorf("cell %d (bin %d, count %d) breaks the cell form", k, j, n)
+			}
+		}
+		sum += n
+	}
+	if sum != r.total {
+		return fmt.Errorf("counts sum to %d, total %d", sum, r.total)
+	}
+	return nil
 }
 
 // sameBits reports whether two float slices agree bit for bit.
@@ -106,36 +133,43 @@ func TestCompileCellFormBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCellFormMutatorsDensify pins the cell form's ownership rules: a
-// clone shares the cells, reads (Hist included) write nothing, and the
-// first Add or Merge densifies only the signature it mutates, so the
-// loaded original and its other clones keep their counts.
+// TestCellFormMutatorsDensify pins the loaded cell form's ownership
+// rules: a clone shares the loaded cells, reads (Hist included) write
+// nothing, and an Add or Merge copies only the rows of the signature
+// it mutates — turning a row past cellCutoff dense — so the loaded
+// original and its other clones keep their counts.
 func TestCellFormMutatorsDensify(t *testing.T) {
 	loaded := reloaded(t, wideDB(t))
 	addr := loaded.order[0]
 	orig := loaded.refs[addr]
-	if orig.cells == nil {
-		t.Fatal("the loaded fixture is not in cell form")
+	data := orig.row(dot11.ClassData)
+	if data == nil || data.form != rowShared || len(data.counts) <= cellCutoff {
+		t.Fatal("the loaded fixture's data class is not a shared cell row past the cutoff")
 	}
 	before := savedBinary(t, loaded)
 	obs := orig.Observations()
 
 	h := orig.Hist(dot11.ClassData)
 	h.Add(1) // a dense copy: the signature must not see it
-	if orig.cells == nil || orig.Observations() != obs {
+	if orig.Observations() != obs || data.form != rowShared {
 		t.Fatal("Hist wrote to a cell-form signature")
 	}
 
 	added, merged := orig.Clone(), orig.Clone()
-	if added.cells != orig.cells {
-		t.Fatal("Clone copied the immutable cells")
+	if &added.row(dot11.ClassData).counts[0] != &data.counts[0] {
+		t.Fatal("Clone copied the shared cells")
 	}
 	added.Add(dot11.ClassData, 7)
 	if err := merged.Merge(orig); err != nil {
 		t.Fatal(err)
 	}
-	if added.cells != nil || merged.cells != nil {
-		t.Fatal("a mutated signature kept its cell form")
+	for _, sig := range []*Signature{added, merged} {
+		if r := sig.row(dot11.ClassData); r.form != rowDense {
+			t.Fatalf("a written row past the cutoff has form %d, want dense", r.form)
+		}
+	}
+	if probe := merged.row(dot11.ClassProbeReq); probe.form != rowCells {
+		t.Fatalf("a merged row within the cutoff has form %d, want owned cells", probe.form)
 	}
 	if added.Observations() != obs+1 || merged.Observations() != 2*obs {
 		t.Fatalf("observations after Add %d, after Merge %d; want %d and %d",
@@ -149,7 +183,7 @@ func TestCellFormMutatorsDensify(t *testing.T) {
 			}
 		}
 	}
-	if orig.cells == nil || !bytes.Equal(before, savedBinary(t, loaded)) {
+	if data.form != rowShared || !bytes.Equal(before, savedBinary(t, loaded)) {
 		t.Fatal("mutating clones changed the loaded original")
 	}
 }

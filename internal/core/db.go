@@ -63,9 +63,8 @@ func (db *Database) Devices() []dot11.Addr {
 // Signature returns a device's reference signature, or nil. The caller
 // may extend the returned signature through its Add/Merge methods;
 // Compile detects such mutations via the signature's observation total
-// and rebuilds the matching snapshot on next use. (Mutating histograms
-// obtained from Signature.Hist directly bypasses the weight bookkeeping
-// and is not supported.)
+// and rebuilds the matching snapshot on next use. (Signature.Hist
+// returns a copy: writing to it changes nothing.)
 func (db *Database) Signature(addr dot11.Addr) *Signature { return db.refs[addr] }
 
 // Add inserts or merges a reference signature.
@@ -182,7 +181,8 @@ func (db *Database) Save(w io.Writer) error {
 	for addr, sig := range db.refs {
 		classes := make(map[string]histogram.Snapshot, dot11.NumClasses)
 		for _, class := range sig.Classes() {
-			classes[class.String()] = sig.Hist(class).Snapshot()
+			r := sig.row(class)
+			classes[class.String()] = histogram.Snapshot{BinWidth: sig.bins.Width, Counts: r.dense(sig.bins.Bins), Dropped: r.dropped}
 		}
 		out.Devices[addr.String()] = classes
 	}
@@ -237,7 +237,7 @@ func Load(r io.Reader) (*Database, error) {
 				return nil, fmt.Errorf("core: device %s class %s: histogram shape %d×%v does not match database %v",
 					as, cs, h.Bins(), h.BinWidth(), cfg.Bins)
 			}
-			sig.setHist(class, &h)
+			sig.setRow(class, classRow{counts: h.CountsView(), total: h.Total(), dropped: h.Dropped(), form: rowDense})
 		}
 		if err := db.Add(addr, sig); err != nil {
 			return nil, err

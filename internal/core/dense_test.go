@@ -102,7 +102,7 @@ func (d *denseDB) simsInto(candidate *Signature, scratch *MatchScratch) []float6
 		case MeasureIntersection, MeasureBhattacharyya, MeasureL1:
 			cf := ch.AppendFreqs(scratch.freqs[:0])
 			scratch.freqs = cf // keep the grown buffer for the next class
-			d.accumulate(sims, cc, cf, d.measure.fn())
+			d.accumulate(sims, cc, cf, measureFn(d.measure))
 		default:
 			// Count domain, like the naive cosine path. The candidate
 			// counts are converted to float64 once (exact, so the bits
@@ -238,5 +238,19 @@ func TestCosineNormedBitIdenticalToCosine(t *testing.T) {
 				t.Errorf("pair (%d,%d): cosineNormed %v != Cosine %v", i, j, got, want)
 			}
 		}
+	}
+}
+
+// measureFn returns the dense frequency-vector form of a measure.
+func measureFn(m Measure) func(a, b []float64) float64 {
+	switch m {
+	case MeasureIntersection:
+		return histogram.Intersection
+	case MeasureBhattacharyya:
+		return histogram.Bhattacharyya
+	case MeasureL1:
+		return histogram.L1
+	default:
+		return histogram.Cosine
 	}
 }

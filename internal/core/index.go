@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dot11fp/internal/dot11"
-	"dot11fp/internal/histogram"
 )
 
 // This file implements the compiled database's match kernel and the
@@ -63,8 +62,8 @@ type IndexStats struct {
 // layout the measure reads — the postings, or the CSR rows for L1 — in
 // two scans of the non-zero cells, a sizing scan and a filling one, so
 // every slice is allocated once at its final size (the snapshot is
-// rebuilt on each reference swap); a loaded reference's cells are walked
-// as they are. A class no reference carries stays the zero compiledClass.
+// rebuilt on each reference swap), cells and dense rows alike. A class
+// no reference carries stays the zero compiledClass.
 func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 	n := len(sigs)
 	cosine := c.measure.isCosine()
@@ -77,16 +76,16 @@ func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 		binRefs = make([]int32, c.bins)
 	}
 	for _, sig := range sigs {
-		row, ok := sig.row(class)
-		if !ok {
+		row := sig.row(class)
+		if row == nil {
 			continue
 		}
 		carriers++
-		for k, cnt := range row.counts {
-			if cnt != 0 {
+		for k := range row.counts {
+			if j, cnt := row.cell(k); cnt != 0 {
 				entries++
 				if !l1 {
-					binRefs[row.bin(k)]++
+					binRefs[j]++
 				}
 			}
 		}
@@ -123,8 +122,8 @@ func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 		if l1 {
 			cc.rowStart[r] = int32(len(cc.rowBin))
 		}
-		row, ok := sig.row(class)
-		if !ok {
+		row := sig.row(class)
+		if row == nil {
 			continue
 		}
 		cc.weights[r] = sig.Weight(class)
@@ -136,11 +135,11 @@ func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 		// each skipped cell adds an exact +0.0 to a non-negative sum, so
 		// the bits equal histogram.CountNorm's dense sum.
 		var norm float64
-		for k, cnt := range row.counts {
+		for k := range row.counts {
+			j, cnt := row.cell(k)
 			if cnt == 0 {
 				continue
 			}
-			j := row.bin(k)
 			// The row value: the float64 count for cosine,
 			// float64(count)/total (as AppendFreqs computes it) otherwise.
 			v := float64(cnt)
@@ -175,7 +174,7 @@ func (c *CompiledDB) compileClass(sigs []*Signature, class dot11.Class) {
 }
 
 // l1Sparse evaluates 1 − ½·Σ|a_j − b_j| over the merged supports of the
-// candidate (dense cf with support nz) and a reference CSR row. Bins
+// candidate (frequency cf[k] at bin nz[k]) and a reference CSR row. Bins
 // where both sides are zero contribute exact +0 to the full-row sum and
 // are skipped; one-sided bins reduce to the surviving value (|x−0| ≡ x
 // bit-for-bit for the non-negative frequencies involved).
@@ -186,14 +185,14 @@ func l1Sparse(cf []float64, nz []int32, rowBin []int32, rowVal []float64) float6
 		rb, cb := rowBin[i], nz[k]
 		switch {
 		case rb == cb:
-			d += math.Abs(cf[cb] - rowVal[i])
+			d += math.Abs(cf[k] - rowVal[i])
 			i++
 			k++
 		case rb < cb:
 			d += rowVal[i]
 			i++
 		default:
-			d += cf[cb]
+			d += cf[k]
 			k++
 		}
 	}
@@ -201,7 +200,7 @@ func l1Sparse(cf []float64, nz []int32, rowBin []int32, rowVal []float64) float6
 		d += rowVal[i]
 	}
 	for ; k < len(nz); k++ {
-		d += cf[nz[k]]
+		d += cf[k]
 	}
 	return 1 - d/2
 }
@@ -233,23 +232,23 @@ func (c *CompiledDB) simsInto(candidate *Signature, scratch *MatchScratch) []flo
 		if cc.weights == nil {
 			continue
 		}
-		ch := candidate.Hist(dot11.Class(ci))
-		if ch == nil || ch.Bins() != c.bins {
+		row := candidate.row(dot11.Class(ci))
+		if row == nil || candidate.bins.Bins != c.bins {
 			// Absent from the candidate, or a shape mismatch on which
 			// every similarity measure evaluates to zero.
 			continue
 		}
-		counts := ch.CountsView()
 		if c.measure == MeasureL1 {
-			cf := ch.AppendFreqs(scratch.freqs[:0])
-			scratch.freqs = cf
-			nz := scratch.l1nz[:0]
-			for j, v := range counts {
-				if v != 0 {
-					nz = append(nz, int32(j))
+			// The candidate's support and frequencies, as AppendFreqs
+			// computes them.
+			nz, cf := scratch.l1nz[:0], scratch.freqs[:0]
+			total := float64(row.total)
+			for k := range row.counts {
+				if j, v := row.cell(k); v != 0 {
+					nz, cf = append(nz, int32(j)), append(cf, float64(v)/total)
 				}
 			}
-			scratch.l1nz = nz
+			scratch.l1nz, scratch.freqs = nz, cf
 			for _, r := range cc.classRefs {
 				start, end := cc.rowStart[r], cc.rowStart[r+1]
 				sims[r] += cc.weights[r] * l1Sparse(cf, nz, cc.rowBin[start:end], cc.rowVal[start:end])
@@ -258,20 +257,21 @@ func (c *CompiledDB) simsInto(candidate *Signature, scratch *MatchScratch) []flo
 		}
 		var cn, total float64
 		if c.measure.isCosine() {
-			if cn = histogram.CountNorm(counts); cn == 0 {
+			if cn = row.norm(); cn == 0 {
 				continue // the cosine is exactly 0 for every reference
 			}
 		} else {
-			if ch.Total() == 0 {
+			if row.total == 0 {
 				continue // all-zero frequencies: every term is exactly 0
 			}
-			total = float64(ch.Total())
+			total = float64(row.total)
 		}
 		// Cleared per class rather than kept zero across calls, so a
 		// recovered panic mid-scatter cannot leak partial sums into the
 		// next match through a long-lived scratch.
 		clear(acc)
-		for j, v := range counts {
+		for k := range row.counts {
+			j, v := row.cell(k)
 			if v == 0 {
 				continue
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dot11fp/internal/dot11"
@@ -20,7 +21,9 @@ import (
 //     descending, insertion index ascending) or filtered by >=.
 //
 // Both hold for the references as built (dense) and for their binary
-// round trip, which keeps them in cell form.
+// round trip, which keeps them in cell form. The single candidates are
+// also matched live: replayed observation by observation through a
+// SenderTable (liveCandidates), as the engines accumulate them.
 //
 // One scratch serves every call of an input, across databases of
 // different sizes, so residue left in the reusable buffers shows up as
@@ -94,6 +97,13 @@ func FuzzIndexedMatch(f *testing.F) {
 	f.Add(input([]byte{4}, // ties at a positive score behind a zero-score block
 		ref([][]byte{cells(40, 1)}, b), ref([][]byte{cells(41, 1)}, b), ref(a, a), clone, clone,
 		cand(a, b), cand([][]byte{cells(3, 2, 40, 1)}, a)))
+	full := [][]byte{cells(1, 3, 2, 5, 40, 2, 63, 9), cells(0, 1, 1, 1, 2, 1, 3, 1), cells(9, 4), cells(8, 1, 9, 2, 10, 3), cells(62, 1, 63, 2)}
+	f.Add(input([]byte{2}, // live candidates of four cells a class
+		ref(a, b), ref(b, a), ref(full[:4], full[1:]),
+		cand(full, full), cand(a, full)))
+	f.Add(input([]byte{1}, // repeated bins merge into one cell
+		ref(a, b), ref(b, b),
+		cand([][]byte{cells(5, 3, 5, 4, 5, 1), empty, cells(7, 1, 7, 1)}, b), cand(b, a)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
@@ -126,6 +136,8 @@ func FuzzIndexedMatch(f *testing.F) {
 		for i, c := range cands {
 			single[i] = Candidate{Addr: c.Addr, Sig: c.Sigs[0]}
 		}
+
+		live := liveCandidates(t, spec, single)
 
 		var scratch MatchScratch
 		var es EnsembleScratch
@@ -172,6 +184,13 @@ func FuzzIndexedMatch(f *testing.F) {
 				}
 				for i, row := range cdb.MatchAllScratch(single, &scratch) {
 					sameScores(t, label+" MatchAllScratch", naive[i], row)
+				}
+				for i, sig := range live {
+					if sig != nil {
+						sameScores(t, label+" live MatchInto", naive[i], cdb.MatchInto(sig, &scratch))
+						checkSelect(t, label+" live", naive[i], func(k int) []Score { return cdb.TopKInto(sig, k, &scratch) },
+							func() (Score, bool) { return cdb.Best(sig) })
+					}
 				}
 			}
 
@@ -247,4 +266,53 @@ func (d *fuzzBytes) sig(p Param, spec BinSpec, classes []dot11.Class) *Signature
 		}
 	}
 	return s
+}
+
+// liveCandidates replays each candidate's counts through a SenderTable
+// as single observations, bins descending so every new cell lands at
+// the front of its row, and returns the drained signatures: nil where
+// the candidate is nil or holds no observation (the table drops it).
+// A first window under a one-sender cap evicts every sender, so the
+// returned rows grow from the table's recycled cell buffers.
+func liveCandidates(t *testing.T, spec BinSpec, cands []Candidate) []*Signature {
+	table := NewSenderTable(Config{Param: ParamInterArrival, Bins: spec, MinObservations: 1}, SenderLimits{MaxSenders: 1})
+	now := int64(0)
+	replay := func() {
+		for i, c := range cands {
+			if c.Sig == nil {
+				continue
+			}
+			for _, class := range c.Sig.Classes() {
+				r := c.Sig.row(class)
+				if r.total == 0 {
+					now++
+					table.Observe(synthAddr(i), class, math.NaN(), now) // present, empty
+				}
+				for k := len(r.counts) - 1; k >= 0; k-- {
+					j, n := r.cell(k)
+					for range n {
+						now++
+						table.Observe(synthAddr(i), class, (float64(j)+0.5)*spec.Width, now)
+					}
+				}
+			}
+		}
+	}
+	var res WindowResult
+	replay()
+	table.Drain(&res)
+	table.SetLimits(SenderLimits{})
+	res = WindowResult{}
+	replay()
+	table.Drain(&res)
+	live := make([]*Signature, len(cands))
+	for _, c := range res.Candidates {
+		live[c.Addr[4]] = c.Sig
+	}
+	for i, c := range cands {
+		if c.Sig != nil && c.Sig.Observations() != 0 && (live[i] == nil || live[i].Observations() != c.Sig.Observations()) {
+			t.Fatalf("candidate %d: the live replay lost observations", i)
+		}
+	}
+	return live
 }

@@ -29,10 +29,11 @@ type SenderLimits struct {
 }
 
 // senderEntry is one tracked sender: its accumulating signatures (one
-// per ensemble member; a single-parameter table holds one) and the
-// record time it was last seen, for recency-based eviction.
+// per ensemble member, in one allocation; a single-parameter table
+// holds one) and the record time it was last seen, for recency-based
+// eviction.
 type senderEntry struct {
-	sigs  []*Signature
+	sigs  []Signature
 	lastT int64
 }
 
@@ -62,6 +63,7 @@ type SenderTable struct {
 
 	sweepT  int64 // record time of the last idle sweep
 	scratch []evictCand
+	pool    cellPool // cell buffers of dropped and evicted senders
 
 	live         atomic.Int64
 	evictedTotal atomic.Uint64
@@ -171,9 +173,9 @@ func (t *SenderTable) entry(addr dot11.Addr, now int64) *senderEntry {
 		if t.limits.MaxSenders > 0 && len(t.entries) >= t.limits.MaxSenders {
 			t.evictOldest()
 		}
-		e = &senderEntry{sigs: make([]*Signature, len(t.cfgs))} //fp:allocok per-sender admission; amortised across the sender's frames
+		e = &senderEntry{sigs: make([]Signature, len(t.cfgs))} //fp:allocok per-sender admission; amortised across the sender's frames
 		for i, cfg := range t.cfgs {
-			e.sigs[i] = NewSignature(cfg.Param, cfg.Bins)
+			e.sigs[i] = Signature{param: cfg.Param, bins: cfg.Bins}
 		}
 		t.entries[addr] = e
 		t.live.Store(int64(len(t.entries)))
@@ -190,7 +192,7 @@ func (t *SenderTable) entry(addr dot11.Addr, now int64) *senderEntry {
 //
 //fp:hotpath test=TestEnginePushZeroAllocs
 func (t *SenderTable) Observe(addr dot11.Addr, class dot11.Class, v float64, now int64) {
-	t.entry(addr, now).sigs[0].Add(class, v)
+	t.entry(addr, now).sigs[0].add(class, v, &t.pool)
 }
 
 // ObserveN adds one record's attributed observations for every ensemble
@@ -209,16 +211,16 @@ func (t *SenderTable) ObserveN(addr dot11.Addr, class dot11.Class, v0 float64, m
 	if len(more) == 0 {
 		// One member, so the non-zero mask is bit 0: Observe's path,
 		// which keeps a single parameter at its own per-frame cost.
-		t.entry(addr, now).sigs[0].Add(class, v0)
+		t.entry(addr, now).sigs[0].add(class, v0, &t.pool)
 		return
 	}
 	sigs := t.entry(addr, now).sigs
 	if valid&1 != 0 {
-		sigs[0].Add(class, v0)
+		sigs[0].add(class, v0, &t.pool)
 	}
 	for m, v := range more {
 		if valid>>(m+1)&1 != 0 {
-			sigs[m+1].Add(class, v)
+			sigs[m+1].add(class, v, &t.pool)
 		}
 	}
 }
@@ -273,14 +275,12 @@ func (t *SenderTable) evictOldest() {
 // signatures — the ensemble reporting convention: how much traffic was
 // attributed to the sender under its best-covered parameter (members
 // differ only through per-parameter value validity).
-func maxObs(sigs []*Signature) uint64 {
-	var max uint64
-	for _, sig := range sigs {
-		if n := sig.Observations(); n > max {
-			max = n
-		}
+func maxObs(sigs []Signature) uint64 {
+	var most uint64
+	for i := range sigs {
+		most = max(most, sigs[i].total)
 	}
-	return max
+	return most
 }
 
 // evict removes one sender, recording it for the window's Dropped list.
@@ -303,7 +303,16 @@ func (t *SenderTable) evict(addr dot11.Addr, e *senderEntry) {
 		t.silent++
 	}
 	t.evictedTotal.Add(1)
+	t.release(e)
 	delete(t.entries, addr)
+}
+
+// release hands a sender's cell buffers to the pool as it leaves the
+// table unreported: only its address and count survive.
+func (t *SenderTable) release(e *senderEntry) {
+	for m := range e.sigs {
+		e.sigs[m].release(&t.pool)
+	}
 }
 
 // qualifies reports whether an entry clears the minimum-observation
@@ -312,7 +321,7 @@ func (t *SenderTable) evict(addr dot11.Addr, e *senderEntry) {
 // all-members requirement is explicit here).
 func (t *SenderTable) qualifies(e *senderEntry) bool {
 	for m, cfg := range t.cfgs {
-		if e.sigs[m].Observations() < uint64(cfg.MinObservations) {
+		if e.sigs[m].total < uint64(cfg.MinObservations) {
 			return false
 		}
 	}
@@ -329,15 +338,31 @@ func (t *SenderTable) qualifies(e *senderEntry) bool {
 // count. The table is reset for the next window; everything in res is
 // handed off without aliasing.
 func (t *SenderTable) Drain(res *WindowResult) {
-	for _, addr := range sortedAddrs(t.entries) {
+	addrs := sortedAddrs(t.entries)
+	var ptrs []*Signature // the multi candidates' member pointers, in one allocation
+	if t.multi {
+		n := 0
+		for _, addr := range addrs {
+			if t.qualifies(t.entries[addr]) {
+				n += len(t.cfgs)
+			}
+		}
+		ptrs = make([]*Signature, 0, n)
+	}
+	for _, addr := range addrs {
 		e := t.entries[addr]
 		switch {
 		case !t.qualifies(e):
 			res.Dropped = append(res.Dropped, DroppedSender{Addr: addr, Observations: maxObs(e.sigs)})
+			t.release(e)
 		case t.multi:
-			res.Multi = append(res.Multi, MultiCandidate{Addr: addr, Window: res.Index, Sigs: e.sigs})
+			for m := range e.sigs {
+				ptrs = append(ptrs, &e.sigs[m])
+			}
+			sigs := ptrs[len(ptrs)-len(e.sigs) : len(ptrs) : len(ptrs)]
+			res.Multi = append(res.Multi, MultiCandidate{Addr: addr, Window: res.Index, Sigs: sigs})
 		default:
-			res.Candidates = append(res.Candidates, Candidate{Addr: addr, Window: res.Index, Sig: e.sigs[0]})
+			res.Candidates = append(res.Candidates, Candidate{Addr: addr, Window: res.Index, Sig: &e.sigs[0]})
 		}
 	}
 	if len(t.evicted) > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -192,4 +193,40 @@ func TestAccumulatorLimitsEquivalence(t *testing.T) {
 				cands[i].Addr, cands[i].Window, want[i].Addr, want[i].Window)
 		}
 	}
+}
+
+// TestSenderTableSprayHeap bounds the live heap a sender costs under
+// the new-MAC-per-frame adversary: a 3-member table (iat, probe-ie,
+// probe-cap) admits a sender on every frame, and each holds one cell
+// per member, not three dense histograms (~10 KB a sender). Not
+// parallel: it reads the process-wide heap.
+func TestSenderTableSprayHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates the heap")
+	}
+	const frames, bound = 10_000, 1024
+	cfgs := []Config{DefaultConfig(ParamInterArrival), DefaultConfig(ParamProbeIE), DefaultConfig(ParamProbeCap)}
+	table, err := NewEnsembleSenderTable(cfgs, SenderLimits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	more := []float64{0, 0}
+	for i := range frames {
+		more[0], more[1] = float64(i%97), float64(i%89)
+		table.ObserveN(synthAddr(i), dot11.ClassProbeReq, float64(100+i%300), more, 0b111, int64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if table.Len() != frames {
+		t.Fatalf("%d senders tracked, want %d", table.Len(), frames)
+	}
+	perSender := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / frames
+	t.Logf("live heap per admitted sender: %d B", perSender)
+	if perSender > bound {
+		t.Errorf("an admitted sender holds %d B of live heap, want ≤ %d", perSender, bound)
+	}
+	runtime.KeepAlive(table)
 }

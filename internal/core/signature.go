@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"dot11fp/internal/capture"
@@ -13,56 +15,177 @@ import (
 // percentage-frequency histogram per frame type, each weighted by the
 // frame type's share of the device's observations.
 //
-// The per-class histograms live inline in a fixed array indexed by
-// frame class (a slot with zero bins is absent), so the extraction hot
-// path costs an array index per observation instead of a map lookup,
-// and a signature needs one allocation for itself plus one count slice
-// per class actually observed.
-//
-// A reference loaded from a binary checkpoint holds its sparse classes
-// as read-only cells (non-zero bins and counts) shared by its clones,
-// until the first Add or Merge densifies it. They hang off one pointer
-// to keep Signature, allocated per sender per window, in its size class.
+// Each present frame class keeps its counts in one classRow, found
+// through a per-class slot index: the first inline, any further ones in
+// one slice, so a window signature costs the bins its sender fills.
 type Signature struct {
 	param Param
+	slot  [dot11.NumClasses]uint8 // per class: 0 absent, 1 first, k > 1 more[k-2]
+	nrows uint8
 	bins  BinSpec
-	hists [dot11.NumClasses]histogram.Histogram // value slots; Bins()==0 marks an absent class
-	cells *[]cellRow                            // classes held in cell form; nil once dense
-	nhist int                                   // number of present classes, in either form
 	total uint64
+	first classRow
+	more  []classRow
 }
 
-// cellRow is one class's counts as compile and save read them: ascending
-// non-zero bins and their counts or, with bins nil, the dense row.
-type cellRow struct {
-	class          dot11.Class
-	bins           []int32
+// classRow is one frame class's counts: in cell form one cell per
+// non-zero bin, bin<<cellShift | count, in ascending bin order; in dense
+// form one count per bin. Writes keep a row in cell form up to
+// cellCutoff cells and turn it dense past that. A loaded reference's
+// rows stay cells while they fill at most half the bins.
+type classRow struct {
 	counts         []uint64
 	total, dropped uint64
+	form           rowForm
 }
 
-// bin returns the bin of the row's k-th count.
-func (r *cellRow) bin(k int) int {
-	if r.bins == nil {
-		return k
+// rowForm is a classRow's layout: owned cells, cells shared with a
+// load's chunks and its clones (copied before a write), or dense.
+type rowForm uint8
+
+const (
+	rowCells rowForm = iota
+	rowShared
+	rowDense
+)
+
+// A cell holds a count up to cellMax and a bin below maxCellBins; a
+// larger count, or a wider shape, takes the dense form.
+const (
+	cellShift   = 44
+	cellMax     = 1<<cellShift - 1
+	maxCellBins = 1 << (64 - cellShift)
+	cellCutoff  = 64 // EXPERIMENTS.md, "Sparse window signatures"
+)
+
+// cell returns the bin and count of the row's k-th entry.
+func (r *classRow) cell(k int) (int, uint64) {
+	c := r.counts[k]
+	if r.form == rowDense {
+		return k, c
 	}
-	return int(r.bins[k])
+	return int(c >> cellShift), c & cellMax
 }
 
-// hist expands the row into a fresh dense histogram of the given shape.
-func (r *cellRow) hist(spec BinSpec) histogram.Histogram {
-	counts := make([]uint64, spec.Bins) //fp:allocok only loaded references hold cells; the live candidates the match kernel reads are dense
-	for k, c := range r.counts {
-		counts[r.bin(k)] = c
+// at is cell, with bin math.MaxInt and count 0 past the row's end.
+func (r *classRow) at(k int) (int, uint64) {
+	if k < len(r.counts) {
+		return r.cell(k)
 	}
-	// The loader validated the shape, so the snapshot is valid.
-	h, _ := histogram.FromSnapshot(histogram.Snapshot{BinWidth: spec.Width, Counts: counts, Dropped: r.dropped})
-	return h
+	return math.MaxInt, 0
+}
+
+// dense returns a fresh dense copy of the row's counts.
+func (r *classRow) dense(bins int) []uint64 {
+	if r.form == rowDense {
+		return slices.Clone(r.counts)
+	}
+	out := make([]uint64, bins) //fp:allocok a row turns dense once, past cellCutoff cells
+	for _, c := range r.counts {
+		out[c>>cellShift] = c & cellMax
+	}
+	return out
+}
+
+// norm returns the Euclidean norm of the row's counts, summed in
+// ascending bin order: the zeros a cell row skips would add exact +0s,
+// so both forms give histogram.CountNorm's bits.
+func (r *classRow) norm() float64 {
+	var n float64
+	for k := range r.counts {
+		_, c := r.cell(k)
+		n += float64(c) * float64(c)
+	}
+	return math.Sqrt(n)
+}
+
+// put adds n ≥ 1 observations to bin j, drawing grown cell buffers
+// from pool and handing outgrown ones back (a nil pool: the heap).
+func (r *classRow) put(j int, n uint64, bins int, pool *cellPool) {
+	if r.form == rowShared {
+		if len(r.counts) > cellCutoff {
+			r.counts, r.form = r.dense(bins), rowDense
+		} else {
+			r.counts, r.form = slices.Clone(r.counts), rowCells //fp:allocok once per loaded row, on its first write
+		}
+	}
+	r.total += n
+	if r.form == rowCells {
+		cells, key := r.counts, uint64(j)<<cellShift
+		i, _ := slices.BinarySearch(cells, key)
+		switch {
+		case i < len(cells) && cells[i]>>cellShift == uint64(j):
+			if n <= cellMax-cells[i]&cellMax {
+				cells[i] += n
+				return
+			}
+		case len(cells) < cellCutoff && n <= cellMax:
+			if len(cells) == cap(cells) {
+				grown := pool.get(max(2*cap(cells), 4))[:len(cells)]
+				copy(grown, cells)
+				pool.put(cells)
+				cells = grown
+			}
+			cells = cells[:len(cells)+1]
+			copy(cells[i+1:], cells[i:])
+			cells[i] = key | n
+			r.counts = cells
+			return
+		}
+		cells = r.dense(bins)
+		pool.put(r.counts)
+		r.counts, r.form = cells, rowDense
+	}
+	r.counts[j] += n
+}
+
+// reserve makes room for n more cells in at most one allocation: a row
+// that could pass cellCutoff turns dense at once.
+func (r *classRow) reserve(n, bins int) {
+	switch {
+	case r.form == rowDense:
+	case len(r.counts)+n > cellCutoff:
+		r.counts, r.form = r.dense(bins), rowDense
+	case len(r.counts)+n > cap(r.counts):
+		r.counts, r.form = append(make([]uint64, 0, len(r.counts)+n), r.counts...), rowCells
+	}
+}
+
+// cellPool recycles a sender table's cell buffers of 4 to cellCutoff
+// cells, outgrown or released with a dropped or evicted sender, so a
+// table allocates for the rows it hands off, not for every doubling.
+type cellPool [5][][]uint64
+
+func (p *cellPool) get(c int) []uint64 {
+	if p != nil {
+		if f := &p[bits.Len(uint(c))-3]; len(*f) > 0 {
+			b := (*f)[len(*f)-1]
+			*f = (*f)[:len(*f)-1]
+			return b[:0]
+		}
+	}
+	return make([]uint64, 0, c) //fp:allocok cells double up to cellCutoff; a table recycles them
+}
+
+// put takes b back unless it is not one of get's buffers.
+func (p *cellPool) put(b []uint64) {
+	if c := cap(b); p != nil && c >= 4 && c <= cellCutoff && c&(c-1) == 0 {
+		f := &p[bits.Len(uint(c))-3]
+		*f = append(*f, b) //fp:allocok the free lists grow to a window's peak and are kept
+	}
+}
+
+// release hands the signature's owned cell buffers back to pool; the
+// signature must not be used afterwards.
+func (s *Signature) release(pool *cellPool) {
+	for c := range s.slot {
+		if r := s.row(dot11.Class(c)); r != nil && r.form == rowCells {
+			pool.put(r.counts)
+		}
+	}
 }
 
 // NewSignature creates an empty signature for a parameter and bin shape.
-//
-//fp:coldpath constructor; runs once per sender admission, amortised across the sender's frames
 func NewSignature(param Param, bins BinSpec) *Signature {
 	return &Signature{param: param, bins: bins}
 }
@@ -71,19 +194,77 @@ func NewSignature(param Param, bins BinSpec) *Signature {
 func (s *Signature) Param() Param { return s.param }
 
 // Add records one observation for a frame class, applying the bin
-// spec's scale transform.
-func (s *Signature) Add(class dot11.Class, v float64) {
-	h := &s.hists[class]
-	if h.Bins() == 0 {
-		s.densify() // a loaded reference's class may be in cell form
-		if h.Bins() == 0 {
-			h.Init(s.bins.Bins, s.bins.Width)
-			s.nhist++
-		}
+// spec's scale transform and histogram.Histogram's binning: negative and
+// NaN values are dropped, values past the top edge fold into the last bin.
+func (s *Signature) Add(class dot11.Class, v float64) { s.add(class, v, nil) }
+
+// add is Add drawing cell buffers from a sender table's pool.
+func (s *Signature) add(class dot11.Class, v float64, pool *cellPool) {
+	r := s.row(class)
+	if r == nil {
+		r = s.addRow(class)
 	}
-	before := h.Total()
-	h.Add(s.bins.Transform(v))
-	s.total += h.Total() - before
+	v = s.bins.Transform(v)
+	if v < 0 || math.IsNaN(v) {
+		r.dropped++
+		return
+	}
+	j := s.bins.Bins - 1 // values past the top edge fold into the top bin
+	if q := v / s.bins.Width; !(q >= float64(s.bins.Bins)) {
+		j = int(q)
+	}
+	s.total++
+	if r.form == rowDense {
+		r.counts[j]++
+		r.total++
+		return
+	}
+	r.put(j, 1, s.bins.Bins, pool)
+}
+
+// row returns a class's row, or nil when the class is absent.
+func (s *Signature) row(class dot11.Class) *classRow {
+	if int(class) >= len(s.slot) {
+		return nil
+	}
+	switch k := s.slot[class]; k {
+	case 0:
+		return nil
+	case 1:
+		return &s.first
+	default:
+		return &s.more[k-2]
+	}
+}
+
+// addRow makes an empty row for a class the signature does not carry.
+//
+//fp:coldpath runs once per class per sender
+func (s *Signature) addRow(class dot11.Class) *classRow {
+	if s.bins.Bins <= 0 || !(s.bins.Width > 0) {
+		panic(fmt.Sprintf("core: invalid histogram shape %d×%v", s.bins.Bins, s.bins.Width))
+	}
+	s.nrows++
+	s.slot[class] = s.nrows
+	r := &s.first
+	if s.nrows > 1 {
+		if s.more == nil {
+			s.more = make([]classRow, 0, 4)
+		}
+		s.more = append(s.more, classRow{})
+		r = &s.more[len(s.more)-1]
+	}
+	if s.bins.Bins > maxCellBins {
+		r.counts, r.form = make([]uint64, s.bins.Bins), rowDense
+	}
+	return r
+}
+
+// setRow installs a decoded row for a class the signature does not yet
+// carry; the persistence loaders validate class and shape first.
+func (s *Signature) setRow(class dot11.Class, r classRow) {
+	*s.addRow(class) = r
+	s.total += r.total
 }
 
 // Observations returns the total observation count |P(s)| across frame
@@ -92,109 +273,59 @@ func (s *Signature) Observations() uint64 { return s.total }
 
 // Classes returns the frame classes present, in stable order.
 func (s *Signature) Classes() []dot11.Class {
-	out := make([]dot11.Class, 0, s.nhist)
-	for c := range s.hists {
-		if _, ok := s.row(dot11.Class(c)); ok {
+	out := make([]dot11.Class, 0, s.nrows)
+	for c, k := range s.slot {
+		if k != 0 {
 			out = append(out, dot11.Class(c))
 		}
 	}
 	return out
 }
 
-// Hist returns the histogram for a class, or nil if absent. A class in
-// cell form comes back as a fresh dense copy: reading writes nothing.
+// Hist returns a fresh dense copy of a class's histogram, or nil if the
+// class is absent: writing to it does not change the signature.
 func (s *Signature) Hist(class dot11.Class) *histogram.Histogram {
-	if int(class) < len(s.hists) && s.hists[class].Bins() != 0 {
-		return &s.hists[class]
+	r := s.row(class)
+	if r == nil {
+		return nil
 	}
-	if r, ok := s.row(class); ok {
-		h := r.hist(s.bins)
-		return &h
-	}
-	return nil
-}
-
-// row returns a present class's counts in either form without copying
-// them; ok is false for an absent class.
-func (s *Signature) row(class dot11.Class) (cellRow, bool) {
-	if int(class) >= len(s.hists) {
-		return cellRow{}, false
-	}
-	if h := &s.hists[class]; h.Bins() != 0 {
-		return cellRow{class: class, counts: h.CountsView(), total: h.Total(), dropped: h.Dropped()}, true
-	}
-	if s.cells != nil {
-		for _, r := range *s.cells {
-			if r.class == class {
-				return r, true
-			}
-		}
-	}
-	return cellRow{}, false
-}
-
-// setHist installs a decoded histogram for a class the signature does
-// not yet carry; the persistence loaders validate class and shape first.
-func (s *Signature) setHist(class dot11.Class, h *histogram.Histogram) {
-	s.hists[class] = *h
-	s.nhist++
-	s.total += h.Total()
-}
-
-// setCells installs a loaded device's cell rows (copied) for classes it
-// does not yet carry; the binary loader validates them first.
-func (s *Signature) setCells(rows []cellRow) {
-	rows = slices.Clone(rows)
-	s.cells = &rows
-	for _, r := range rows {
-		s.nhist++
-		s.total += r.total
-	}
-}
-
-// densify expands the cells into the inline histograms, once per loaded reference.
-//
-//fp:coldpath runs once per loaded reference, on its first mutation
-func (s *Signature) densify() {
-	if s.cells == nil {
-		return
-	}
-	for _, r := range *s.cells {
-		s.hists[r.class] = r.hist(s.bins)
-	}
-	s.cells = nil
+	h, _ := histogram.FromSnapshot(histogram.Snapshot{BinWidth: s.bins.Width, Counts: r.dense(s.bins.Bins), Dropped: r.dropped})
+	return &h
 }
 
 // Weight returns weight_ftype = |P^ftype| / Σ|P^ftype| (Definition 1).
 func (s *Signature) Weight(class dot11.Class) float64 {
-	r, ok := s.row(class)
-	if !ok || s.total == 0 {
+	r := s.row(class)
+	if r == nil || s.total == 0 {
 		return 0
 	}
 	return float64(r.total) / float64(s.total)
 }
 
 // Clone returns a deep copy of the signature. Used by the online
-// trainer to snapshot enrollment state without aliasing live
-// histograms. The cell form is immutable, so the copy shares it.
+// trainer to snapshot enrollment state without aliasing live counts;
+// shared rows are never written, so the copy shares them.
 func (s *Signature) Clone() *Signature {
-	c := &Signature{
-		param: s.param,
-		bins:  s.bins,
-		cells: s.cells,
-		nhist: s.nhist,
-		total: s.total,
+	c := *s
+	c.first = s.first.clone()
+	c.more = slices.Clone(s.more)
+	for i := range c.more {
+		c.more[i] = c.more[i].clone()
 	}
-	for i := range s.hists {
-		if s.hists[i].Bins() != 0 {
-			c.hists[i] = *s.hists[i].Clone()
-		}
-	}
-	return c
+	return &c
 }
 
-// Merge folds other into s (same parameter and bin shape required).
-// Used to extend reference signatures with additional training windows.
+// clone returns the row with its own copy of counts it does not share.
+func (r classRow) clone() classRow {
+	if r.form != rowShared {
+		r.counts = slices.Clone(r.counts)
+	}
+	return r
+}
+
+// Merge folds other into s (same parameter and bin shape required),
+// walking other's non-zero cells. Used to extend reference signatures
+// with additional training windows.
 func (s *Signature) Merge(other *Signature) error {
 	if other == nil {
 		return nil
@@ -203,24 +334,27 @@ func (s *Signature) Merge(other *Signature) error {
 		return fmt.Errorf("core: signature shape mismatch: %v/%v vs %v/%v",
 			s.param, s.bins, other.param, other.bins)
 	}
-	s.densify()
-	for class := range other.hists {
-		oh := other.Hist(dot11.Class(class))
-		if oh == nil {
+	if other == s {
+		other = s.Clone() // its rows would change under the walk
+	}
+	for c := range other.slot {
+		o := other.row(dot11.Class(c))
+		if o == nil {
 			continue
 		}
-		h := &s.hists[class]
-		if h.Bins() == 0 {
-			s.hists[class] = *oh.Clone()
-			s.nhist++
-			s.total += oh.Total()
+		s.total += o.total
+		r := s.row(dot11.Class(c))
+		if r == nil {
+			*s.addRow(dot11.Class(c)) = o.clone()
 			continue
 		}
-		before := h.Total()
-		if err := h.Merge(oh); err != nil {
-			return err
+		r.dropped += o.dropped
+		r.reserve(len(o.counts), s.bins.Bins)
+		for k := range o.counts {
+			if j, n := o.cell(k); n != 0 {
+				r.put(j, n, s.bins.Bins, nil)
+			}
 		}
-		s.total += h.Total() - before
 	}
 	return nil
 }

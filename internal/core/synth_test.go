@@ -27,18 +27,18 @@ func synthAddr(i int) dot11.Addr {
 	return dot11.Addr{0x02, 0x00, byte(i >> 16), byte(i >> 8), byte(i), 0x01}
 }
 
-// synthAdd records cnt observations at the centre of a bin. Batched
-// through AddN so building 100k-reference fixtures stays fast.
+// synthAdd records cnt observations at the centre of a bin in one
+// write, so building 100k-reference fixtures stays fast.
 func synthAdd(sig *Signature, class dot11.Class, bin, cnt int) {
-	v := (float64(bin) + 0.5) * synthWidth
-	h := &sig.hists[class]
-	if h.Bins() == 0 {
-		h.Init(sig.bins.Bins, sig.bins.Width)
-		sig.nhist++
+	r := sig.row(class)
+	if r == nil {
+		r = sig.addRow(class)
 	}
-	before := h.Total()
-	h.AddN(sig.bins.Transform(v), uint64(cnt))
-	sig.total += h.Total() - before
+	if cnt == 0 {
+		return
+	}
+	r.put(min(bin, sig.bins.Bins-1), uint64(cnt), sig.bins.Bins, nil)
+	sig.total += uint64(cnt)
 }
 
 // synthModel is one device model: the signature bins its devices share.

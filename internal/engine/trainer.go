@@ -16,11 +16,10 @@ import (
 // database, so a cold-started monitor populates its own references
 // without ever materialising a training trace.
 //
-// The trainer consumes closed detection windows — inline via
-// Options.Trainer / ShardedOptions.Trainer (the precise mode: window k's
-// promotions are visible to window k+1's matching on both engines), or
-// from an engine's event stream via Tap — and accumulates each unknown
-// sender's window signatures, one per member parameter, over the
+// The trainer consumes closed detection windows inline, attached via
+// Options.Trainer / ShardedOptions.Trainer (window k's promotions are
+// visible to window k+1's matching on both engines), and accumulates
+// each unknown sender's window signatures, one per member parameter, over the
 // enrollment horizon. When a sender completes the horizon, the
 // enrollment policy (auto, confirm-callback, deny-list) decides its
 // fate; completed signatures are promoted into the trainer's private
@@ -59,13 +58,6 @@ type Trainer struct {
 	evictScratch []pendingEvictCand
 	target       installer // the bound engine
 	stats        TrainerStats
-}
-
-// DBSetter is the hot-swap half of an engine as a single-parameter
-// caller sees it; *Engine and *Sharded both implement it, and Bind
-// takes either.
-type DBSetter interface {
-	SetDB(*core.CompiledDB) error
 }
 
 // installer is the swap the trainer drives: the engines' shape-checked
@@ -328,30 +320,6 @@ func (t *Trainer) attach(target installer, cfgs []core.Config, refs *core.Compil
 
 var errAttached = errors.New("engine: trainer is already attached to another engine")
 
-// Bind attaches the trainer to the engine it should hot-swap, for the
-// Tap (event-stream) mode, and installs the trainer's current compiled
-// references into it — which also validates the shapes for real: a
-// trainer whose parameters or bins mismatch the engine fails here, at
-// attach time, instead of silently failing every later swap. The target
-// must be an *Engine or *Sharded. The inline mode — Options.Trainer /
-// ShardedOptions.Trainer — binds automatically.
-func (t *Trainer) Bind(target DBSetter) error {
-	in, ok := target.(installer)
-	if !ok {
-		return fmt.Errorf("engine: a trainer binds to an *Engine or *Sharded, not %T", target)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.target != nil && t.target != in {
-		return errAttached
-	}
-	if err := in.install(t.ens.Compile()); err != nil {
-		return err
-	}
-	t.target = in
-	return nil
-}
-
 // Compiled returns the latest compiled snapshot of the trainer's
 // reference database (possibly empty, for a cold start; nil for an
 // ensemble trainer, which compiles through CompiledEnsemble).
@@ -468,23 +436,18 @@ func (t *Trainer) step(window int, cands []core.MultiCandidate, sink Sink, healt
 			health.recordPanic(healthSink, "trainer", -1, r)
 		}
 	}()
-	emit := func(ev Event) {
-		if sink != nil {
-			sink.HandleEvent(ev)
-		}
-	}
-	t.observeWindow(window, cands, emit)
+	t.observeWindow(window, cands, sink)
 }
 
 // observeWindow folds one closed window's candidates into the
 // enrollment state, promotes completed senders under the policy, swaps
 // the bound engine's references if anything changed, and emits the
 // trainer's events (progress, enrollments, then exactly one DBSwapped)
-// through emit. Candidates must arrive in ascending address order —
+// to sink, which may be nil. Candidates must arrive in ascending address order —
 // both engines and the batch paths emit them that way — which makes
 // promotion order, and with it the reference insertion order, a
 // deterministic function of the stream.
-func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit func(Event)) {
+func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, sink Sink) {
 	t.mu.Lock()
 	// Refresh recency for every pending sender that is a candidate in
 	// this window before any MaxPending eviction runs: without this, an
@@ -597,7 +560,7 @@ func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit fu
 	for _, pr := range promote {
 		// All members or none: never a partial reference.
 		if err := t.ens.Add(pr.addr, pr.p.sigs); err != nil {
-			continue // impossible by construction (shape-checked at bind)
+			continue // impossible by construction (shape-checked at attach)
 		}
 		t.stats.Enrolled++
 		evs = append(evs, DeviceEnrolled{
@@ -608,12 +571,9 @@ func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit fu
 	}
 
 	// A swap is claimed — Swaps counted, DBSwapped emitted — only when a
-	// database was actually pushed to an engine. A Tap-attached trainer
-	// whose Bind was never called still accumulates and promotes (Bind
-	// installs the current references when it eventually runs), but it
-	// must not report installations that never happened.
+	// database was actually pushed to an engine.
 	if (len(promote) > 0 || updated > 0) && t.target != nil {
-		t.target.install(t.ens.Compile()) // shape-checked at bind; cannot fail
+		t.target.install(t.ens.Compile()) // shape-checked at attach; cannot fail
 		t.stats.Swaps++
 		evs = append(evs, DBSwapped{
 			Window: window, Version: t.stats.Swaps,
@@ -624,9 +584,9 @@ func (t *Trainer) observeWindow(window int, cands []core.MultiCandidate, emit fu
 
 	// Events are delivered outside the lock, so a sink may call Stats,
 	// Database or Compiled without deadlocking.
-	if emit != nil {
+	if sink != nil {
 		for _, ev := range evs {
-			emit(ev)
+			sink.HandleEvent(ev)
 		}
 	}
 }
@@ -683,62 +643,4 @@ func (t *Trainer) evictPending() {
 		t.stats.EvictedPending++
 	}
 	t.evictScratch = cands[:0] // keep the grown buffer
-}
-
-// Tap returns a sink that feeds the trainer from an engine's event
-// stream and forwards every event — the engine's first, then the
-// trainer's own — to next (which may be nil to consume silently). Use
-// Bind to point the trainer at the engine to hot-swap: until Bind runs
-// the trainer accumulates and promotes into its private database but
-// claims no swaps — no DBSwapped, Stats().Swaps stays zero. Unlike the
-// inline mode, the tap observes windows only as their events are
-// delivered; on the sharded engine, whose shards match ahead of event
-// delivery, a promotion may then reach matching one window later than
-// inline attachment would — prefer ShardedOptions.Trainer when the
-// exact swap boundary matters.
-func (t *Trainer) Tap(next Sink) Sink {
-	return &tapSink{t: t, next: next}
-}
-
-// tapSink reconstructs windows from the event stream: verdict events
-// carry the candidates (in ascending address order), WindowClosed marks
-// the boundary.
-type tapSink struct {
-	t    *Trainer
-	next Sink
-	buf  []core.MultiCandidate
-}
-
-// HandleEvent implements Sink.
-//
-//fp:mayblock trainer-owned tap: observeWindow re-enters the Trainer, which drives its engine synchronously from Train — no other pusher exists
-func (s *tapSink) HandleEvent(ev Event) {
-	if s.next != nil {
-		s.next.HandleEvent(ev)
-	}
-	switch ev := ev.(type) {
-	case CandidateMatched:
-		s.buffer(ev.Window, ev.Addr, ev.Sig, ev.Sigs)
-	case UnknownDevice:
-		s.buffer(ev.Window, ev.Addr, ev.Sig, ev.Sigs)
-	case WindowClosed:
-		emit := func(Event) {}
-		if s.next != nil {
-			emit = s.next.HandleEvent
-		}
-		s.t.observeWindow(ev.Window, s.buf, emit)
-		s.buf = s.buf[:0]
-	}
-}
-
-// buffer queues one verdict's candidate, in either event shape — a
-// single-parameter verdict's Sig is its one member signature. A verdict
-// whose member count is not the trainer's is skipped.
-func (s *tapSink) buffer(window int, addr dot11.Addr, sig *core.Signature, sigs []*core.Signature) {
-	if sig != nil {
-		sigs = []*core.Signature{sig}
-	}
-	if len(sigs) == len(s.t.cfgs) {
-		s.buf = append(s.buf, core.MultiCandidate{Addr: [6]byte(addr), Window: window, Sigs: sigs})
-	}
 }

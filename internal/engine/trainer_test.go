@@ -418,84 +418,6 @@ func TestTrainerMaxPendingNoCascade(t *testing.T) {
 	}
 }
 
-// TestTrainerTapMatchesInline checks the event-stream attachment (Tap +
-// Bind) reproduces the inline mode on the serial engine, where event
-// delivery is synchronous with window close.
-func TestTrainerTapMatchesInline(t *testing.T) {
-	t.Parallel()
-	const window = 2 * time.Minute
-	cfg := core.DefaultConfig(core.ParamInterArrival)
-	tr := buildScenario(t, true)
-	probe := core.CandidatesIn(tr, window, cfg)
-
-	inline := engine.NewTrainer(cfg, core.MeasureCosine, engine.TrainerOptions{Horizon: 2, Update: true})
-	eng, err := engine.New(cfg, nil, engine.Options{Window: window, Trainer: inline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.PushTrace(tr)
-	eng.Close()
-
-	tapped := engine.NewTrainer(cfg, core.MeasureCosine, engine.TrainerOptions{Horizon: 2, Update: true})
-	var te trainEvents
-	eng2, err := engine.New(cfg, nil, engine.Options{Window: window, Sink: tapped.Tap(collectTrainer(&te))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bind installs the trainer's compiled references (empty here) and
-	// shape-checks through the engine's SetDB.
-	if err := tapped.Bind(eng2); err != nil {
-		t.Fatal(err)
-	}
-	eng2.PushTrace(tr)
-	eng2.Close()
-
-	sameDB(t, "tap-vs-inline", tapped.Database(), inline.Database(), probe)
-	if len(te.swapped) == 0 {
-		t.Fatal("tap delivered no trainer events downstream")
-	}
-
-	// A shape-mismatched trainer must fail at Bind, not silently fail
-	// every later swap.
-	wrong := engine.NewTrainer(core.DefaultConfig(core.ParamRate), core.MeasureCosine, engine.TrainerOptions{})
-	eng3, err := engine.New(cfg, nil, engine.Options{Window: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng3.Close()
-	if err := wrong.Bind(eng3); err == nil {
-		t.Fatal("Bind accepted a shape-mismatched trainer")
-	}
-}
-
-// TestTrainerTapUnboundClaimsNoSwaps pins the unbound tap: a trainer
-// fed through Tap without Bind still accumulates and promotes into its
-// private database, but must not claim installations that never
-// happened — no DBSwapped events, Stats().Swaps zero.
-func TestTrainerTapUnboundClaimsNoSwaps(t *testing.T) {
-	t.Parallel()
-	const window = 2 * time.Minute
-	cfg := core.DefaultConfig(core.ParamInterArrival)
-	tr := buildScenario(t, true)
-
-	unbound := engine.NewTrainer(cfg, core.MeasureCosine, engine.TrainerOptions{Horizon: 2})
-	var te trainEvents
-	eng, err := engine.New(cfg, nil, engine.Options{Window: window, Sink: unbound.Tap(collectTrainer(&te))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.PushTrace(tr)
-	eng.Close()
-
-	st := unbound.Stats()
-	if st.Refs == 0 || st.Enrolled == 0 || len(te.enrolled) == 0 {
-		t.Fatalf("unbound tap stopped enrolling: %+v", st)
-	}
-	if st.Swaps != 0 || len(te.swapped) != 0 {
-		t.Fatalf("unbound tap claimed %d swaps (%d DBSwapped events) with no engine to swap", st.Swaps, len(te.swapped))
-	}
-}
-
 // TestTrainerRejectsMisuse pins the constructor-time error paths: a
 // trainer plus an explicit database, a shape-mismatched trainer, and
 // double attachment.

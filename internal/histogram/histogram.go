@@ -40,18 +40,6 @@ func New(nbins int, binWidth float64) *Histogram {
 	return &Histogram{binWidth: binWidth, counts: make([]uint64, nbins)}
 }
 
-// Init (re)shapes h in place to nbins bins of the given width with all
-// counts zeroed — New for a value slot that is already allocated, so
-// aggregates can hold histograms inline (one array element per frame
-// class) without a pointer and a struct allocation per class. It panics
-// on an invalid shape, exactly like New.
-func (h *Histogram) Init(nbins int, binWidth float64) {
-	if nbins <= 0 || binWidth <= 0 {
-		panic(fmt.Sprintf("histogram: invalid shape nbins=%d width=%v", nbins, binWidth))
-	}
-	*h = Histogram{binWidth: binWidth, counts: make([]uint64, nbins)}
-}
-
 // Clone returns a deep copy.
 func (h *Histogram) Clone() *Histogram {
 	c := &Histogram{binWidth: h.binWidth, total: h.total, dropped: h.dropped}

@@ -5,9 +5,8 @@ package histogram
 // frequency vectors first costs one []float64 allocation per comparison
 // and a division per bin. These kernels operate directly on raw uint64
 // counts, exploiting that cosine similarity is invariant under the
-// count→frequency scaling and that the remaining measures only need the
-// observation totals. Variants taking precomputed norms let a compiled
-// database hoist the per-reference work out of the loop entirely.
+// count→frequency scaling. The variant taking precomputed norms lets a
+// caller hoist the per-reference work out of the loop entirely.
 
 import "math"
 
@@ -51,46 +50,4 @@ func CosineCountsNormed(a, b []uint64, na, nb float64) float64 {
 		return 0
 	}
 	return DotCounts(a, b) / (na * nb)
-}
-
-// IntersectionCounts computes histogram intersection Σ min(a_j/at, b_j/bt)
-// on raw counts with precomputed totals at = Σa, bt = Σb.
-func IntersectionCounts(a, b []uint64, at, bt uint64) float64 {
-	if len(a) != len(b) || at == 0 || bt == 0 {
-		return 0
-	}
-	fat, fbt := float64(at), float64(bt)
-	var s float64
-	for i := range a {
-		s += math.Min(float64(a[i])/fat, float64(b[i])/fbt)
-	}
-	return s
-}
-
-// BhattacharyyaCounts computes the Bhattacharyya coefficient
-// Σ √(a_j·b_j/(at·bt)) on raw counts with precomputed totals.
-func BhattacharyyaCounts(a, b []uint64, at, bt uint64) float64 {
-	if len(a) != len(b) || at == 0 || bt == 0 {
-		return 0
-	}
-	inv := 1 / math.Sqrt(float64(at)*float64(bt))
-	var s float64
-	for i := range a {
-		s += math.Sqrt(float64(a[i]) * float64(b[i]))
-	}
-	return s * inv
-}
-
-// L1Counts computes 1 − ½·Σ|a_j/at − b_j/bt| on raw counts with
-// precomputed totals.
-func L1Counts(a, b []uint64, at, bt uint64) float64 {
-	if len(a) != len(b) || at == 0 || bt == 0 {
-		return 0
-	}
-	fat, fbt := float64(at), float64(bt)
-	var d float64
-	for i := range a {
-		d += math.Abs(float64(a[i])/fat - float64(b[i])/fbt)
-	}
-	return 1 - d/2
 }

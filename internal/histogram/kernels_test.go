@@ -29,39 +29,10 @@ func TestCountKernelsMatchFreqDomain(t *testing.T) {
 		for j, hb := range hs {
 			fa, fb := ha.Freqs(), hb.Freqs()
 			ca, cb := ha.CountsView(), hb.CountsView()
-			at, bt := ha.Total(), hb.Total()
-			cases := []struct {
-				name      string
-				freq, cnt float64
-			}{
-				{"cosine", Cosine(fa, fb), CosineCounts(ca, cb)},
-				{"intersection", Intersection(fa, fb), IntersectionCounts(ca, cb, at, bt)},
-				{"bhattacharyya", Bhattacharyya(fa, fb), BhattacharyyaCounts(ca, cb, at, bt)},
-			}
-			if at > 0 && bt > 0 {
-				// L1 in frequency domain treats an empty histogram as the
-				// zero vector (similarity ½ against any distribution); the
-				// count kernel instead guards on zero totals. Compare only
-				// where both are defined.
-				cases = append(cases, struct {
-					name      string
-					freq, cnt float64
-				}{"l1", L1(fa, fb), L1Counts(ca, cb, at, bt)})
-			}
-			for _, tc := range cases {
-				if math.Abs(tc.freq-tc.cnt) > tol {
-					t.Errorf("pair (%d,%d) %s: count domain %v, freq domain %v", i, j, tc.name, tc.cnt, tc.freq)
-				}
+			if cnt, freq := CosineCounts(ca, cb), Cosine(fa, fb); math.Abs(freq-cnt) > tol {
+				t.Errorf("pair (%d,%d) cosine: count domain %v, freq domain %v", i, j, cnt, freq)
 			}
 		}
-	}
-	// Empty-vs-empty L1/intersection: freq domain sees two zero vectors
-	// (L1 = 1), count domain guards on zero totals (0) — both conventions
-	// agree that weights make the contribution zero, but document the
-	// totals guard explicitly.
-	e := New(8, 1)
-	if got := L1Counts(e.CountsView(), e.CountsView(), 0, 0); got != 0 {
-		t.Errorf("L1Counts with zero totals = %v, want 0", got)
 	}
 }
 
@@ -69,8 +40,7 @@ func TestCountKernelLengthMismatch(t *testing.T) {
 	t.Parallel()
 	a := []uint64{1, 2, 3}
 	b := []uint64{1, 2}
-	if CosineCounts(a, b) != 0 || IntersectionCounts(a, b, 6, 3) != 0 ||
-		BhattacharyyaCounts(a, b, 6, 3) != 0 || L1Counts(a, b, 6, 3) != 0 || DotCounts(a, b) != 0 {
+	if CosineCounts(a, b) != 0 || DotCounts(a, b) != 0 {
 		t.Fatal("length mismatch should yield 0")
 	}
 }

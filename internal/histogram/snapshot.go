@@ -21,9 +21,9 @@ func (h *Histogram) Snapshot() Snapshot {
 // The histogram adopts s.Counts rather than copying it: the caller
 // hands the slice over and must not touch it afterwards. Both loaders
 // decode every snapshot into a fresh slice, so adopting saves a second
-// allocation and copy of every count at load time. Like Init, it works
-// in value terms, so the result can be stored in an inline slot (as
-// Signature does) without a Histogram allocation either.
+// allocation and copy of every count at load time. It works in value
+// terms, so the result can be stored in place without a Histogram
+// allocation either.
 func FromSnapshot(s Snapshot) (Histogram, error) {
 	if s.BinWidth <= 0 || len(s.Counts) == 0 {
 		return Histogram{}, fmt.Errorf("histogram: invalid snapshot shape %d×%v", len(s.Counts), s.BinWidth)

@@ -641,7 +641,7 @@ func TestReferenceDetailCopiesNothing(t *testing.T) {
 // TestLoadedReferenceUpdateRace runs a loaded checkpoint's references
 // through the one mutator and every reader at once: a trainer seeded
 // from the loaded database merges each window into its copies of them
-// (Update, which densifies those copies), an engine matches the loaded
+// (Update, which copies each row it first writes), an engine matches the loaded
 // database's own compiled snapshot, and the API serves both sites'
 // reference detail and checkpoints the trainer's copies throughout,
 // while the loaded database saves itself. The copies share the loaded
@@ -686,7 +686,7 @@ func TestLoadedReferenceUpdateRace(t *testing.T) {
 		defer readers.Done()
 		for {
 			// A checkpoint saves the trainer's copies, whose cells the
-			// loaded references share until the trainer densifies them.
+			// loaded references share until the trainer first writes them.
 			resp, err := http.Post(ts.URL+"/api/v1/sites/live/checkpoint", "application/json", nil)
 			if err != nil {
 				t.Error(err)
